@@ -51,6 +51,17 @@ impl fmt::Display for DesignVariant {
 }
 
 impl DesignVariant {
+    /// Design clock, MHz: the base clock, derated by the TSV load on the
+    /// native path for the 3D stack.
+    pub fn frequency_mhz(self) -> f64 {
+        match self {
+            DesignVariant::H3dThreeTier => {
+                BASE_FREQUENCY_MHZ * TsvSpec::paper().frequency_derate(NATIVE_PATH_LOAD_F)
+            }
+            _ => BASE_FREQUENCY_MHZ,
+        }
+    }
+
     /// Component library appropriate for this design's integration style.
     pub fn library(self) -> ComponentLibrary {
         match self {
@@ -257,12 +268,7 @@ pub fn build_report_with(variant: DesignVariant, arch: ArchParams) -> DesignRepo
         }
         _ => 0,
     };
-    let frequency_mhz = match variant {
-        DesignVariant::H3dThreeTier => {
-            BASE_FREQUENCY_MHZ * TsvSpec::paper().frequency_derate(NATIVE_PATH_LOAD_F)
-        }
-        _ => BASE_FREQUENCY_MHZ,
-    };
+    let frequency_mhz = variant.frequency_mhz();
 
     let ops_per_iter = arch.ops_per_iteration();
     let iter_latency_s = cycles_per_iter as f64 / (frequency_mhz * 1e6);

@@ -9,6 +9,7 @@ use cim::adc::{AdcConfig, SarAdc};
 use cim::crossbar::{Crossbar, Fidelity};
 use cim::noise::NoiseSpec;
 use h3dfact::session::BackendKind;
+use h3dfact::target::TargetKind;
 use hdc::rng::rng_from_seed;
 use hdc::{BipolarVector, Codebook, FactorizationProblem, ProblemSpec};
 use thermal::{solve, Stack};
@@ -201,7 +202,7 @@ fn bench_engines(c: &mut Criterion) {
     ] {
         c.bench_function(name, |bch| {
             bch.iter_batched(
-                || kind.instantiate(spec, budget, 5, None, None),
+                || kind.instantiate(TargetKind::Functional, spec, budget, 5, None, None),
                 |mut e| e.factorize(black_box(&problem)),
                 BatchSize::SmallInput,
             )

@@ -17,6 +17,7 @@
 //! the end.
 
 use h3dfact::session::{BackendKind, Session};
+use h3dfact::target::TargetKind;
 use h3dfact_bench::env;
 use hdc::ProblemSpec;
 use resonator::{measure_cell, SweepConfig};
@@ -72,10 +73,24 @@ fn main() {
             let spec = ProblemSpec::new(f, m, dim);
             let cfg = SweepConfig::parallel(trials, budget, 0xBEEF + m as u64, threads);
             let base = measure_cell(spec, &cfg, |s| {
-                BackendKind::Baseline.instantiate(spec, budget, s, None, None)
+                BackendKind::Baseline.instantiate(
+                    TargetKind::Functional,
+                    spec,
+                    budget,
+                    s,
+                    None,
+                    None,
+                )
             });
             let stoch = measure_cell(spec, &cfg, |s| {
-                BackendKind::Stochastic.instantiate(spec, budget, s, None, None)
+                BackendKind::Stochastic.instantiate(
+                    TargetKind::Functional,
+                    spec,
+                    budget,
+                    s,
+                    None,
+                    None,
+                )
             });
             println!(
                 "  {f}  {m:>3} |  {:>6.1}   {:>6.1}   |    | {}   {}   |",

@@ -1,10 +1,9 @@
-//! Cross-target cost harness: runs the same problem set through every
-//! execution target — functional (bit-exact engine path), approximate
-//! tiled hardware co-simulation (IR drop + per-iteration thermal
-//! stepping), and the DMA-queue offload stub — hard-asserts the
-//! functional ↔ DMA bit-identity contract, and splices a `"targets"`
-//! cost block into `BENCH_kernels.json` so the kernel perf record also
-//! carries the cross-target cost picture.
+//! Cross-target cost harness: runs the same problem set through both
+//! execution targets — functional (the engines themselves) and the
+//! approximate tiled hardware co-simulation (IR drop + per-iteration
+//! thermal stepping) — and splices a `"targets"` cost block into
+//! `BENCH_kernels.json` so the kernel perf record also carries the
+//! cross-target cost picture.
 //!
 //! ```sh
 //! cargo run --release -p h3dfact_bench --bin bench_targets            # full
@@ -27,16 +26,9 @@ struct Row {
     wall_s: f64,
     /// Approximate tiled target only.
     peak_temp_c: Option<f64>,
-    /// DMA target only: (commands, bytes, max_depth).
-    queue: Option<(u64, u64, usize)>,
 }
 
-fn run_pair(
-    kind: BackendKind,
-    target: TargetKind,
-    n: usize,
-    max_iters: usize,
-) -> (Row, SessionReport) {
+fn run_pair(kind: BackendKind, target: TargetKind, n: usize, max_iters: usize) -> Row {
     let mut session = Session::builder()
         .spec(ProblemSpec::new(3, 8, 256))
         .backend(kind)
@@ -47,23 +39,17 @@ fn run_pair(
     let t0 = Instant::now();
     let report = session.run(n);
     let wall_s = t0.elapsed().as_secs_f64();
-    let cost = session
-        .last_cost_report()
-        .expect("target-routed sessions report cost");
-    (
-        Row {
-            backend: kind.name(),
-            target: target.name(),
-            solved: report.solved,
-            iterations: report.total_iterations,
-            energy_j: report.total_energy_j,
-            cycles: cost.cycles,
-            wall_s,
-            peak_temp_c: cost.peak_temp_c,
-            queue: cost.queue.map(|q| (q.commands, q.bytes, q.max_depth)),
-        },
-        report,
-    )
+    let last = session.last_run_stats().expect("sessions report each run");
+    Row {
+        backend: kind.name(),
+        target: target.name(),
+        solved: report.solved,
+        iterations: report.total_iterations,
+        energy_j: report.total_energy_j,
+        cycles: last.cycles,
+        wall_s,
+        peak_temp_c: last.peak_temp_c,
+    }
 }
 
 /// Splices `block` in as the last top-level key of `BENCH_kernels.json`,
@@ -96,47 +82,18 @@ fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let (n, max_iters) = if quick { (4, 500) } else { (16, 1_000) };
 
-    // Functional vs DMA on two backend kinds, plus the approximate tiled
-    // co-simulation on the analog pair.
-    let pairs: Vec<(BackendKind, TargetKind)> = vec![
+    // The functional engines next to the approximate tiled co-simulation
+    // on the analog pair.
+    let pairs = [
         (BackendKind::H3dFact, TargetKind::Functional),
         (BackendKind::H3dFact, TargetKind::ApproxTiled),
-        (BackendKind::H3dFact, TargetKind::DmaQueue),
         (BackendKind::Hybrid2d, TargetKind::ApproxTiled),
         (BackendKind::Pcm, TargetKind::Functional),
-        (BackendKind::Pcm, TargetKind::DmaQueue),
     ];
-    let mut rows = Vec::with_capacity(pairs.len());
-    let mut reports = Vec::with_capacity(pairs.len());
-    for &(kind, target) in &pairs {
-        let (row, report) = run_pair(kind, target, n, max_iters);
-        rows.push(row);
-        reports.push((kind, target, report));
-    }
-
-    // The equivalence contract, hard-asserted before anything is written:
-    // DMA offload must be bit-identical to the functional path.
-    let mut dma_identical = true;
-    for kind in [BackendKind::H3dFact, BackendKind::Pcm] {
-        let functional = &reports
-            .iter()
-            .find(|(k, t, _)| *k == kind && *t == TargetKind::Functional)
-            .expect("functional row")
-            .2;
-        let dma = &reports
-            .iter()
-            .find(|(k, t, _)| *k == kind && *t == TargetKind::DmaQueue)
-            .expect("dma row")
-            .2;
-        dma_identical &= functional.solved == dma.solved
-            && functional.total_iterations == dma.total_iterations
-            && functional.total_energy_j == dma.total_energy_j
-            && functional
-                .outcomes
-                .iter()
-                .zip(&dma.outcomes)
-                .all(|(a, b)| a.decoded == b.decoded && a.iterations == b.iterations);
-    }
+    let rows: Vec<Row> = pairs
+        .iter()
+        .map(|&(kind, target)| run_pair(kind, target, n, max_iters))
+        .collect();
 
     let fmt_opt_f = |v: Option<f64>| v.map(|x| format!("{x:.6e}")).unwrap_or("null".into());
     let fmt_opt_u = |v: Option<u64>| v.map(|x| x.to_string()).unwrap_or("null".into());
@@ -149,26 +106,18 @@ fn main() {
     );
     let _ = writeln!(block, "    \"problems\": {n},");
     // `solved`/`iterations`/`energy_j` aggregate the whole session;
-    // `cycles`/`peak_temp_c`/`queue_*` are the final run's CostReport.
+    // `cycles`/`peak_temp_c` are the final run's RunReport.
     let _ = writeln!(
         block,
-        "    \"cost_fields_scope\": \"last_run (cycles, peak_temp_c, queue_*)\","
-    );
-    let _ = writeln!(
-        block,
-        "    \"functional_dma_bit_identical\": {dma_identical},"
+        "    \"cost_fields_scope\": \"last_run (cycles, peak_temp_c)\","
     );
     let _ = writeln!(block, "    \"rows\": [");
     for (i, r) in rows.iter().enumerate() {
         let comma = if i + 1 < rows.len() { "," } else { "" };
-        let extras = match (r.peak_temp_c, r.queue) {
-            (Some(t), _) => format!(", \"peak_temp_c\": {t:.3}"),
-            (_, Some((commands, bytes, depth))) => format!(
-                ", \"queue_commands\": {commands}, \"queue_bytes\": {bytes}, \
-                 \"queue_max_depth\": {depth}"
-            ),
-            _ => String::new(),
-        };
+        let extras = r
+            .peak_temp_c
+            .map(|t| format!(", \"peak_temp_c\": {t:.3}"))
+            .unwrap_or_default();
         let _ = writeln!(
             block,
             "      {{\"backend\": \"{}\", \"target\": \"{}\", \"solved\": {}, \
@@ -188,8 +137,4 @@ fn main() {
 
     splice_into_kernels_json(&block);
     println!("{block}");
-    assert!(
-        dma_identical,
-        "DMA-queue outcomes diverged from the functional target"
-    );
 }

@@ -26,7 +26,8 @@ pub struct IrDropModel {
     pub alpha: f64,
     /// True when the macro's drop-mitigation (reference-column
     /// compensation) is enabled: the systematic attenuation profile is
-    /// divided out, leaving only its (small) input-dependent residue.
+    /// divided out. No input-dependent residue is modelled yet (ROADMAP
+    /// 2(b)), so a mitigated array has unity gain on every row.
     pub mitigated: bool,
 }
 
@@ -56,22 +57,18 @@ impl IrDropModel {
     }
 
     /// Attenuation factor of row `r` in an array of `rows`.
+    ///
+    /// Mitigated arrays return exactly `1.0`: reference-column
+    /// compensation divides out the nominal profile, and the residue left
+    /// by the activity mismatch between reference and data columns is not
+    /// modelled yet (ROADMAP 2(b)).
     pub fn row_gain(&self, r: usize, rows: usize) -> f64 {
         assert!(r < rows, "row out of range");
-        if self.alpha == 0.0 {
+        if self.alpha == 0.0 || self.mitigated {
             return 1.0;
         }
         let distance = (rows - 1 - r) as f64 / rows as f64;
-        let raw = 1.0 / (1.0 + self.alpha * distance);
-        if self.mitigated {
-            // Reference-column compensation divides out the nominal
-            // profile; a 5 % residue remains (mismatch between the
-            // reference and data columns' activity patterns).
-            let nominal = 1.0 / (1.0 + self.alpha * distance);
-            1.0 + 0.05 * (raw / nominal - 1.0)
-        } else {
-            raw
-        }
+        1.0 / (1.0 + self.alpha * distance)
     }
 
     /// Dot product of a stored ±1 column with a bipolar query under the
@@ -137,13 +134,14 @@ mod tests {
     }
 
     #[test]
-    fn mitigation_recovers_most_signal() {
-        let raw = IrDropModel::macro_40nm_raw();
+    fn mitigation_cancels_the_profile_exactly() {
         let fixed = IrDropModel::macro_40nm_mitigated();
-        let e_raw = raw.worst_case_error(256);
-        let e_fixed = fixed.worst_case_error(256);
-        assert!(e_raw > 0.05, "raw error {e_raw}");
-        assert!(e_fixed < e_raw / 5.0, "mitigated error {e_fixed}");
+        for rows in [1usize, 64, 100, 256] {
+            for r in 0..rows {
+                assert_eq!(fixed.row_gain(r, rows), 1.0, "row {r} of {rows}");
+            }
+        }
+        assert!(IrDropModel::macro_40nm_raw().worst_case_error(256) > 0.05);
     }
 
     #[test]

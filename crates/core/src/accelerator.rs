@@ -10,7 +10,7 @@
 //! not a silently wrong number — and every operation deposits energy into
 //! a component ledger.
 
-use arch3d::design::{DesignVariant, BASE_FREQUENCY_MHZ, NATIVE_PATH_LOAD_F};
+use arch3d::design::DesignVariant;
 use arch3d::mapping::{KernelPhase, TierRole, TierScheduler};
 use arch3d::neurosim::ComponentLibrary;
 use arch3d::schedule::{IterationSchedule, ScheduleConfig};
@@ -349,12 +349,7 @@ impl H3dFact {
 
     /// Design clock frequency, MHz.
     pub fn frequency_mhz(&self) -> f64 {
-        match self.variant {
-            DesignVariant::H3dThreeTier => {
-                BASE_FREQUENCY_MHZ * TsvSpec::paper().frequency_derate(NATIVE_PATH_LOAD_F)
-            }
-            _ => BASE_FREQUENCY_MHZ,
-        }
+        self.variant.frequency_mhz()
     }
 
     /// Statistics of the most recent run.

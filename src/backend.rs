@@ -26,6 +26,10 @@
 //! | [`PcmEngine`] | two-die PCM CIM | yes | full (package links) |
 //! | [`BaselineResonator`] | software | no | none |
 //! | [`StochasticResonator`] | software | yes | none |
+//!
+//! A seventh, [`ApproxTiledBackend`](crate::target::ApproxTiledBackend),
+//! runs the analog engines' loop on an approximate tiled co-simulation
+//! with thermal stepping ([`TargetKind::ApproxTiled`](crate::target::TargetKind)).
 
 use cim::energy::EnergyLedger;
 use h3dfact_core::{H3dFact, Hybrid2dEngine, PcmEngine, RunStats, Sram2dEngine};
@@ -53,7 +57,8 @@ pub struct Capabilities {
 /// Uniform statistics of a backend's most recent run (or batch).
 ///
 /// Software engines have no hardware cost model, so the cost fields are
-/// `None` for them; the loop-level facts are always present.
+/// `None` for them; the loop-level facts are always present. The thermal
+/// fields are filled only by the approximate tiled target.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// Name of the backend that produced the report.
@@ -74,6 +79,11 @@ pub struct RunReport {
     pub adc_conversions: Option<u64>,
     /// Peak SRAM buffer occupancy, bits (buffered hardware designs only).
     pub buffer_peak_bits: Option<u64>,
+    /// Mean die temperature after each iteration, °C (thermal targets
+    /// only; empty otherwise).
+    pub mean_die_temp_c: Vec<f64>,
+    /// Hottest node in the stack at run end, °C (thermal targets only).
+    pub peak_temp_c: Option<f64>,
 }
 
 impl RunReport {
@@ -88,6 +98,8 @@ impl RunReport {
             tier_switches: Some(stats.tier_switches),
             adc_conversions: Some(stats.adc_conversions),
             buffer_peak_bits: Some(stats.buffer_peak_bits),
+            mean_die_temp_c: Vec::new(),
+            peak_temp_c: None,
         }
     }
 
@@ -102,6 +114,8 @@ impl RunReport {
             tier_switches: None,
             adc_conversions: None,
             buffer_peak_bits: None,
+            mean_die_temp_c: Vec::new(),
+            peak_temp_c: None,
         }
     }
 
@@ -316,14 +330,6 @@ pub trait Backend: Factorizer + Send {
     fn fold_batch_reports(&mut self, per_item: &[RunReport]) -> bool {
         let _ = per_item;
         false
-    }
-
-    /// The target-level [`CostReport`](crate::target::CostReport) of the
-    /// most recent run, for backends driven through a
-    /// [`Target`](crate::target::Target). `None` (the default) for the
-    /// direct engines, whose costs surface through [`RunReport`] only.
-    fn last_cost_report(&self) -> Option<crate::target::CostReport> {
-        None
     }
 }
 

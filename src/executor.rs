@@ -437,6 +437,7 @@ pub(crate) fn resolve_threads(configured: usize) -> usize {
 mod tests {
     use super::*;
     use crate::session::BackendKind;
+    use crate::target::TargetKind;
     use hdc::rng::rng_from_seed;
     use hdc::ProblemSpec;
     use resonator::batch::random_batch;
@@ -458,7 +459,9 @@ mod tests {
             .collect();
         let (items, _) = random_batch(&books, 6, 501);
 
-        let factory = || BackendKind::Stochastic.instantiate(spec, 400, 9, None, None);
+        let factory = || {
+            BackendKind::Stochastic.instantiate(TargetKind::Functional, spec, 400, 9, None, None)
+        };
         let mut sequential = factory();
         let expected: Vec<FactorizationOutcome> = items
             .iter()
@@ -484,7 +487,9 @@ mod tests {
             .map(|_| Codebook::random(spec.codebook_size, spec.dim, &mut rng))
             .collect();
         let (items, _) = random_batch(&books, 3, 503);
-        let factory = || BackendKind::Stochastic.instantiate(spec, 400, 10, None, None);
+        let factory = || {
+            BackendKind::Stochastic.instantiate(TargetKind::Functional, spec, 400, 10, None, None)
+        };
 
         // Sequential engine that has already issued 5 runs.
         let mut warmed = factory();
@@ -582,7 +587,9 @@ mod tests {
                 item
             })
             .collect();
-        let factory = || BackendKind::Stochastic.instantiate(spec, 300, 11, None, None);
+        let factory = || {
+            BackendKind::Stochastic.instantiate(TargetKind::Functional, spec, 300, 11, None, None)
+        };
         let sequential = solve_indexed(&factory, &books, &items, 0, 1);
         let parallel = solve_indexed(&factory, &books, &items, 0, 4);
         assert_eq!(sequential.len(), parallel.len());

@@ -120,10 +120,7 @@ pub mod prelude {
     pub use crate::session::{
         BackendKind, Session, SessionBuildError, SessionBuilder, SessionReport,
     };
-    pub use crate::target::{
-        ApproxTiledTarget, CostReport, DmaQueueTarget, FunctionalTarget, QueueStats, Target,
-        TargetBackend, TargetKind,
-    };
+    pub use crate::target::{ApproxTiledBackend, TargetKind};
     pub use crate::wire::{
         Frame, ShedReason, WireError, WireRegistryStats, WireResponse, WireStats, PROTOCOL_VERSION,
     };

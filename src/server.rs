@@ -790,6 +790,9 @@ fn connection_serve(shared: &Arc<Shared>, conn_id: u64, stream: TcpStream, open:
         let _ = stream.shutdown(Shutdown::Both);
         return;
     }
+    // Best-effort, like the read timeout: replies are small frames sent
+    // as soon as they are ready, so Nagle's algorithm only adds delay.
+    let _ = stream.set_nodelay(true);
     if let Some(t) = shared.config.read_timeout {
         // Best-effort: a socket that refuses the option just keeps the
         // blocking behavior.

@@ -96,6 +96,7 @@ use crate::backend::{Backend, LockstepQuery, RunReport, RunTotals};
 use crate::executor::{self, RequestSolve};
 use crate::registry::{CodebookHandle, CodebookRegistry};
 use crate::session::{BackendKind, Session};
+use crate::target::TargetKind;
 
 /// Stream namespace for [`FactorizationService::request_stream`] problem
 /// streams, mixed with the service seed through nested `derive_seed`.
@@ -358,7 +359,7 @@ pub struct ServiceBuilder {
     flush_deadline: Duration,
     queue_capacity: usize,
     shards: Vec<(BackendKind, usize)>,
-    target: Option<crate::target::TargetKind>,
+    target: TargetKind,
     registry: Option<Arc<CodebookRegistry>>,
 }
 
@@ -375,7 +376,7 @@ impl Default for ServiceBuilder {
             flush_deadline: Duration::from_millis(2),
             queue_capacity: 64,
             shards: vec![(BackendKind::H3dFact, 1)],
-            target: None,
+            target: TargetKind::Functional,
             registry: None,
         }
     }
@@ -452,14 +453,10 @@ impl ServiceBuilder {
         self
     }
 
-    /// Execution target every shard routes its kernels through (default:
-    /// the engines' direct path). With
-    /// [`TargetKind::Functional`](crate::target::TargetKind::Functional)
-    /// outcomes and traces are bit-identical to the direct path, so a
-    /// trace captured on one target replays on any functionally
-    /// equivalent one — the cross-target equivalence contract.
-    pub fn target(mut self, target: crate::target::TargetKind) -> Self {
-        self.target = Some(target);
+    /// Execution target every shard runs its kernels on (default:
+    /// [`TargetKind::Functional`], the engines themselves).
+    pub fn target(mut self, target: TargetKind) -> Self {
+        self.target = target;
         self
     }
 
@@ -490,22 +487,25 @@ impl ServiceBuilder {
         }
         // The parent session pays codebook generation exactly once; every
         // shard is carved from it with a disjoint seed lineage. The
-        // parent's own backend kind is irrelevant — a cheap software
-        // engine keeps warm-up fast.
+        // parent's own backend kind is irrelevant — a cheap engine the
+        // target can run keeps warm-up fast (the approximate tiled target
+        // runs only the analog engines).
+        let parent_kind = match self.target {
+            TargetKind::Functional => BackendKind::Baseline,
+            TargetKind::ApproxTiled => BackendKind::Hybrid2d,
+        };
         let mut parent = Session::builder()
             .spec(spec)
-            .backend(BackendKind::Baseline)
+            .backend(parent_kind)
             .seed(self.seed)
             .max_iters(self.max_iters)
-            .threads(self.threads);
+            .threads(self.threads)
+            .target(self.target);
         if let Some(bits) = self.adc_bits {
             parent = parent.adc_bits(bits);
         }
         if let Some(n) = self.noise {
             parent = parent.noise(n);
-        }
-        if let Some(t) = self.target {
-            parent = parent.target(t);
         }
         if let Some(r) = self.registry {
             parent = parent.registry(r);

@@ -2,6 +2,10 @@
 //! [`Backend`], problem generation, batched solving with per-problem
 //! seeds, and aggregate accuracy/energy/latency reporting.
 //!
+//! [`BackendKind::instantiate`] is the one constructor of every backend:
+//! it builds the kind's engine on a [`TargetKind`] — the engine itself by
+//! default, or its crossbar loop on the approximate tiled co-simulation.
+//!
 //! ```
 //! use h3dfact::prelude::*;
 //!
@@ -20,6 +24,7 @@
 use std::fmt;
 use std::sync::Arc;
 
+use arch3d::design::DesignVariant;
 use cim::noise::NoiseSpec;
 use h3dfact_core::{H3dFact, H3dFactConfig, Hybrid2dEngine, PcmEngine, Sram2dEngine};
 use hdc::rng::{derive_seed, stream_rng};
@@ -32,7 +37,7 @@ use resonator::{BaselineResonator, StochasticResonator};
 use crate::backend::{Backend, LockstepQuery, RunReport};
 use crate::executor;
 use crate::registry::{CodebookHandle, CodebookRegistry};
-use crate::target::{CostReport, TargetBackend, TargetKind};
+use crate::target::{ApproxTiledBackend, TargetKind};
 use crate::workload::{Workload, WorkloadReport, WorkloadSet};
 
 /// Stream namespaces for the session's seed-derivation tree. Every family
@@ -92,9 +97,18 @@ impl BackendKind {
         }
     }
 
-    /// Instantiates the engine behind this kind.
+    /// Instantiates the engine behind this kind on an execution target:
+    /// [`TargetKind::Functional`] is the engine itself,
+    /// [`TargetKind::ApproxTiled`] its crossbar loop on the approximate
+    /// tiled co-simulation.
+    ///
+    /// # Panics
+    ///
+    /// Panics for [`TargetKind::ApproxTiled`] on a backend without an
+    /// analog crossbar path (anything but `H3dFact` and `Hybrid2d`).
     pub fn instantiate(
         self,
+        target: TargetKind,
         spec: ProblemSpec,
         max_iters: usize,
         seed: u64,
@@ -111,6 +125,17 @@ impl BackendKind {
             }
             cfg
         };
+        if target == TargetKind::ApproxTiled {
+            let variant = match self {
+                BackendKind::H3dFact => DesignVariant::H3dThreeTier,
+                BackendKind::Hybrid2d => DesignVariant::Hybrid2d,
+                other => panic!(
+                    "the approximate tiled target models the analog crossbar path; \
+                     {other} has none"
+                ),
+            };
+            return Box::new(ApproxTiledBackend::new(hw_config(), variant, seed));
+        }
         match self {
             BackendKind::H3dFact => Box::new(H3dFact::new(hw_config(), seed)),
             BackendKind::Sram2d => Box::new(Sram2dEngine::new(spec, max_iters, seed)),
@@ -147,30 +172,6 @@ impl BackendKind {
                     spec, max_iters, cell_sigma, bits, seed,
                 ))
             }
-        }
-    }
-
-    /// [`BackendKind::instantiate`] on an execution target: `None` drives
-    /// the engine's own direct path (the legacy default); `Some(target)`
-    /// routes the kernels through a
-    /// [`TargetBackend`](crate::target::TargetBackend) —
-    /// [`TargetKind::Functional`] is bit-identical to the direct engine
-    /// and additionally surfaces per-run
-    /// [`CostReport`](crate::target::CostReport)s.
-    pub fn instantiate_on(
-        self,
-        target: Option<TargetKind>,
-        spec: ProblemSpec,
-        max_iters: usize,
-        seed: u64,
-        adc_bits: Option<u8>,
-        noise: Option<NoiseSpec>,
-    ) -> Box<dyn Backend> {
-        match target {
-            None => self.instantiate(spec, max_iters, seed, adc_bits, noise),
-            Some(t) => Box::new(TargetBackend::new(
-                self, t, spec, max_iters, seed, adc_bits, noise,
-            )),
         }
     }
 }
@@ -215,7 +216,7 @@ pub struct SessionBuilder {
     adc_bits: Option<u8>,
     noise: Option<NoiseSpec>,
     threads: usize,
-    target: Option<TargetKind>,
+    target: TargetKind,
     registry: Option<Arc<CodebookRegistry>>,
 }
 
@@ -229,7 +230,7 @@ impl Default for SessionBuilder {
             adc_bits: None,
             noise: None,
             threads: 1,
-            target: None,
+            target: TargetKind::Functional,
             registry: None,
         }
     }
@@ -291,15 +292,13 @@ impl SessionBuilder {
         self
     }
 
-    /// Execution target for the backend's kernels (default: the engine's
-    /// own direct path). [`TargetKind::Functional`] is bit-identical to
-    /// the direct engine at every seed — same outcomes, same reports —
-    /// and additionally surfaces per-run
-    /// [`CostReport`](crate::target::CostReport)s through
-    /// [`Session::last_cost_report`]; the other targets trade fidelity for
-    /// richer hardware co-simulation or offload modeling.
+    /// Execution target for the backend's kernels (default:
+    /// [`TargetKind::Functional`], the engine itself).
+    /// [`TargetKind::ApproxTiled`] trades the engine's exact kernels for a
+    /// tiled hardware co-simulation whose run reports carry a thermal
+    /// trajectory.
     pub fn target(mut self, target: TargetKind) -> Self {
-        self.target = Some(target);
+        self.target = target;
         self
     }
 
@@ -322,7 +321,7 @@ impl SessionBuilder {
         if self.max_iters == 0 {
             return Err(SessionBuildError::ZeroIterationBudget);
         }
-        let backend = self.backend.instantiate_on(
+        let backend = self.backend.instantiate(
             self.target,
             spec,
             self.max_iters,
@@ -435,8 +434,8 @@ pub struct Session {
     noise: Option<NoiseSpec>,
     /// Worker threads for batch solving (`0` = all cores, `1` = sequential).
     threads: usize,
-    /// Execution target routing (`None` = the engines' direct path).
-    target: Option<TargetKind>,
+    /// Execution target of the backend's kernels.
+    target: TargetKind,
     /// The registry entry this session's codebooks are interned under.
     /// Content-identical sessions (same seed/spec, or any other route to
     /// the same sign words) share one entry — and one allocation —
@@ -539,18 +538,9 @@ impl Session {
         self.last_report.clone()
     }
 
-    /// The configured execution target, when the session routes its
-    /// kernels through the target abstraction.
-    pub fn target_kind(&self) -> Option<TargetKind> {
+    /// The configured execution target.
+    pub fn target_kind(&self) -> TargetKind {
         self.target
-    }
-
-    /// The target-level cost report of the most recent solve, for
-    /// target-routed sessions (`None` on the engines' direct path, and
-    /// after parallel passes, whose per-item reports live in the worker
-    /// engines).
-    pub fn last_cost_report(&self) -> Option<CostReport> {
-        self.backend.last_cost_report()
     }
 
     /// Generates `n` problems over the session codebooks, each from its
@@ -617,7 +607,7 @@ impl Session {
     pub fn carve_shard_as(&mut self, kind: BackendKind) -> Session {
         let shard_seed = derive_seed(derive_seed(self.seed, ns::SHARDS), self.shards_carved);
         self.shards_carved += 1;
-        let backend = kind.instantiate_on(
+        let backend = kind.instantiate(
             self.target,
             self.spec,
             self.max_iters,
@@ -684,7 +674,7 @@ impl Session {
             self.adc_bits,
             self.noise,
         );
-        move || kind.instantiate_on(target, spec, max_iters, seed, adc_bits, noise)
+        move || kind.instantiate(target, spec, max_iters, seed, adc_bits, noise)
     }
 
     /// Solves `items` on the deterministic worker pool at the backend's

@@ -45,7 +45,8 @@ fn all_six_engines_dispatch_through_dyn_backend() {
     let problem = FactorizationProblem::random(spec, &mut rng_from_seed(42));
     let mut names = Vec::new();
     for kind in BackendKind::ALL {
-        let mut backend: Box<dyn Backend> = kind.instantiate(spec, 800, 5, None, None);
+        let mut backend: Box<dyn Backend> =
+            kind.instantiate(TargetKind::Functional, spec, 800, 5, None, None);
         let outcome = backend.factorize(&problem);
         assert!(outcome.iterations >= 1, "{} ran no iterations", kind);
         // Every backend must report in the common format after a run.
@@ -87,7 +88,7 @@ fn stochastic_backends_solve_through_dyn_dispatch() {
         BackendKind::Pcm,
         BackendKind::Stochastic,
     ] {
-        let mut backend = kind.instantiate(spec, 2_000, 6, None, None);
+        let mut backend = kind.instantiate(TargetKind::Functional, spec, 2_000, 6, None, None);
         assert!(
             backend.factorize(&problem).solved,
             "{} failed a small problem",
@@ -109,13 +110,13 @@ fn batch_equals_sequential_at_fixed_seeds() {
             .collect();
         let (items, _) = random_batch(&books, 4, 55);
 
-        let mut seq = kind.instantiate(spec, 600, 11, None, None);
+        let mut seq = kind.instantiate(TargetKind::Functional, spec, 600, 11, None, None);
         let sequential: Vec<_> = items
             .iter()
             .map(|i| seq.factorize_query(&books, &i.query, i.truth.as_deref()))
             .collect();
 
-        let mut bat = kind.instantiate(spec, 600, 11, None, None);
+        let mut bat = kind.instantiate(TargetKind::Functional, spec, 600, 11, None, None);
         let batch = bat.factorize_batch(&books, &items);
 
         assert_eq!(batch.len(), sequential.len());
@@ -350,6 +351,7 @@ fn deprecated_factorizer_surface_still_works() {
     }
     let spec = ProblemSpec::new(3, 8, 256);
     let problem = FactorizationProblem::random(spec, &mut rng_from_seed(12));
-    let mut backend = BackendKind::Stochastic.instantiate(spec, 800, 2, None, None);
+    let mut backend =
+        BackendKind::Stochastic.instantiate(TargetKind::Functional, spec, 800, 2, None, None);
     assert!(drive(backend.as_mut(), &problem));
 }

@@ -1,62 +1,15 @@
-//! Cross-target contract tests for the target abstraction:
+//! Contract tests for the execution targets:
 //!
-//! 1. **Golden reproduction** — every golden cell of `tests/goldens.rs`
-//!    (4 workloads × 3 backends) run through
-//!    `SessionBuilder::target(TargetKind::Functional)` is bit-identical to
-//!    the engines' direct path, and every backend kind produces identical
-//!    outcomes *and* identical `RunReport`s (energy ledgers included)
-//!    through the functional target.
-//! 2. **Functional ↔ DMA equivalence** — a service trace captured on the
-//!    functional target replays bit-for-bit on the DMA-queue target (and
-//!    vice versa), across multiple backend kinds: the trace/replay
-//!    contract is the cross-target equivalence harness.
-//! 3. **Approximate tiled co-simulation** — cost reports (energy, cycles,
-//!    per-iteration temperature trajectory) are deterministic per seed
-//!    and physically sane.
+//! 1. **Functional is the engine** — for every backend kind,
+//!    `BackendKind::instantiate(TargetKind::Functional, ..)` is the engine
+//!    its own constructor builds, with the documented default knobs: same
+//!    name, outcomes, and `RunReport`s (energy ledgers included).
+//! 2. **Approximate tiled co-simulation** — outcomes and run reports
+//!    (energy, cycles, per-iteration temperature trajectory) are pinned
+//!    bit for bit, deterministic per seed, thread-count invariant,
+//!    replayable through the service, and physically sane.
 
-use h3dfact::perception::{AttributeSchema, NeuralFrontend};
 use h3dfact::prelude::*;
-use h3dfact::workload::Workload;
-
-fn golden_workload(name: &str) -> (Box<dyn Workload>, usize) {
-    match name {
-        "random" => (
-            Box::new(RandomFactorization::new(ProblemSpec::new(3, 8, 256), 201)),
-            6,
-        ),
-        "perception" => (
-            Box::new(Perception::attributes(
-                AttributeSchema::raven(),
-                256,
-                NeuralFrontend::paper_quality(5),
-                202,
-            )),
-            4,
-        ),
-        "integer" => (Box::new(IntegerFactorization::new(30, 256, 203)), 4),
-        "capacity" => (
-            Box::new(CapacitySweep::new(ProblemSpec::new(3, 8, 256), 204)),
-            4,
-        ),
-        other => panic!("unknown golden workload {other}"),
-    }
-}
-
-/// Runs one golden cell (same seeds as `tests/goldens.rs`), optionally
-/// routed through an execution target.
-fn run_cell(name: &str, kind: BackendKind, target: Option<TargetKind>) -> WorkloadReport {
-    let (mut workload, n) = golden_workload(name);
-    let mut builder = Session::builder()
-        .spec(workload.spec())
-        .backend(kind)
-        .seed(101)
-        .max_iters(600);
-    if let Some(t) = target {
-        builder = builder.target(t);
-    }
-    let mut session = builder.build();
-    session.run_workload(&mut *workload, n)
-}
 
 /// Field-by-field outcome equality, excluding wall-clock phase times.
 fn assert_outcomes_identical(a: &FactorizationOutcome, b: &FactorizationOutcome, cell: &str) {
@@ -70,198 +23,61 @@ fn assert_outcomes_identical(a: &FactorizationOutcome, b: &FactorizationOutcome,
     );
 }
 
-/// The functional target reproduces every golden cell bit-for-bit:
-/// `tests/goldens.rs` pins the direct-engine values, and this test pins
-/// target-routed == direct, so the goldens transitively hold on the
-/// target path.
-#[test]
-fn functional_target_reproduces_every_golden_cell() {
-    for name in ["random", "perception", "integer", "capacity"] {
-        for kind in [
-            BackendKind::Baseline,
-            BackendKind::Stochastic,
-            BackendKind::H3dFact,
-        ] {
-            let cell = format!("{name} × {kind}");
-            let direct = run_cell(name, kind, None);
-            let routed = run_cell(name, kind, Some(TargetKind::Functional));
-            assert_eq!(direct.units, routed.units, "{cell}: units");
-            assert_eq!(direct.score, routed.score, "{cell}: score (bitwise)");
-            assert_eq!(direct.metrics, routed.metrics, "{cell}: metrics");
-            assert_eq!(
-                direct.session.solved, routed.session.solved,
-                "{cell}: solved"
-            );
-            assert_eq!(
-                direct.session.total_iterations, routed.session.total_iterations,
-                "{cell}: total iterations"
-            );
-            assert_eq!(
-                direct.session.total_energy_j, routed.session.total_energy_j,
-                "{cell}: energy (bitwise)"
-            );
-            assert_eq!(
-                direct.session.total_latency_s, routed.session.total_latency_s,
-                "{cell}: latency (bitwise)"
-            );
-            for (a, b) in direct.session.outcomes.iter().zip(&routed.session.outcomes) {
-                assert_outcomes_identical(a, b, &cell);
-            }
-        }
+/// The engine each kind's own constructor builds with the session's
+/// default knobs (no ADC or noise override).
+fn direct_engine(
+    kind: BackendKind,
+    spec: ProblemSpec,
+    max_iters: usize,
+    seed: u64,
+) -> Box<dyn Backend> {
+    let cfg = H3dFactConfig::default_for(spec).with_max_iters(max_iters);
+    match kind {
+        BackendKind::H3dFact => Box::new(H3dFact::new(cfg, seed)),
+        BackendKind::Sram2d => Box::new(Sram2dEngine::new(spec, max_iters, seed)),
+        BackendKind::Hybrid2d => Box::new(Hybrid2dEngine::new(cfg, seed)),
+        BackendKind::Pcm => Box::new(PcmEngine::paper_default(spec, max_iters, seed)),
+        BackendKind::Baseline => Box::new(BaselineResonator::new(max_iters, seed)),
+        BackendKind::Stochastic => Box::new(StochasticResonator::with_cell_noise(
+            spec,
+            max_iters,
+            StochasticResonator::CHIP_CELL_SIGMA,
+            4,
+            seed,
+        )),
     }
 }
 
-/// Every backend kind — not just the golden trio — produces identical
-/// outcomes and identical `RunReport`s (energy ledgers included) through
-/// the functional target, across several runs so per-run seed derivation
-/// is exercised past cursor 0.
+/// Every backend kind's functional target is its direct engine: identical
+/// outcomes and identical `RunReport`s (energy ledgers included), across
+/// several runs so per-run seed derivation is exercised past cursor 0.
 #[test]
 fn functional_target_matches_direct_engines_for_all_kinds() {
     let spec = ProblemSpec::new(3, 8, 256);
+    let problems: Vec<FactorizationProblem> = (0..3)
+        .map(|i| FactorizationProblem::random(spec, &mut rng_from_seed(770 + i)))
+        .collect();
     for kind in BackendKind::ALL {
-        let build = |target: Option<TargetKind>| {
-            let mut b = Session::builder()
-                .spec(spec)
-                .backend(kind)
-                .seed(77)
-                .max_iters(500);
-            if let Some(t) = target {
-                b = b.target(t);
-            }
-            b.build()
-        };
-        let mut direct = build(None);
-        let mut routed = build(Some(TargetKind::Functional));
-        assert_eq!(direct.backend_name(), routed.backend_name(), "{kind}");
-        let a = direct.run(3);
-        let b = routed.run(3);
-        let cell = format!("{kind} run(3)");
-        assert_eq!(a.solved, b.solved, "{cell}: solved");
-        assert_eq!(a.total_iterations, b.total_iterations, "{cell}: iters");
-        assert_eq!(a.total_energy_j, b.total_energy_j, "{cell}: energy");
-        assert_eq!(a.total_latency_s, b.total_latency_s, "{cell}: latency");
-        for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
-            assert_outcomes_identical(x, y, &cell);
+        let mut direct = direct_engine(kind, spec, 500, 77);
+        let mut routed = kind.instantiate(TargetKind::Functional, spec, 500, 77, None, None);
+        assert_eq!(routed.name(), kind.name(), "{kind}: name");
+        assert_eq!(direct.name(), routed.name(), "{kind}: name");
+        for (i, p) in problems.iter().enumerate() {
+            let cell = format!("{kind} problem {i}");
+            let a = direct.factorize(p);
+            let b = routed.factorize(p);
+            assert_outcomes_identical(&a, &b, &cell);
+            assert_eq!(
+                direct.last_run_stats(),
+                routed.last_run_stats(),
+                "{cell}: run report (ledger included)"
+            );
         }
-        assert_eq!(
-            direct.last_run_stats(),
-            routed.last_run_stats(),
-            "{cell}: run report (ledger included)"
-        );
-        // The target path additionally surfaces the cost report.
-        assert!(direct.last_cost_report().is_none(), "{kind}: direct path");
-        let cost = routed
-            .last_cost_report()
-            .unwrap_or_else(|| panic!("{kind}: functional target must report cost"));
-        assert_eq!(cost.target, "functional");
-    }
-}
-
-/// Builds the two-backend service used by the cross-target equivalence
-/// tests, routed through `target`.
-fn service_on(target: TargetKind) -> FactorizationService {
-    ServiceBuilder::default()
-        .spec(ProblemSpec::new(3, 8, 256))
-        .seed(909)
-        .max_iters(500)
-        .backends(&[(BackendKind::H3dFact, 1), (BackendKind::Pcm, 1)])
-        .batch_size(4)
-        .target(target)
-        .build()
-}
-
-/// The tentpole equivalence contract: a trace captured live on the
-/// functional target replays bit-for-bit on the DMA-queue target, for
-/// two different backend kinds in one pool — same decoded factors, same
-/// iteration counts, same run cursors.
-#[test]
-fn functional_and_dma_targets_agree_on_the_same_trace() {
-    let mut live = service_on(TargetKind::Functional);
-    let mut streams = [
-        live.request_stream("tenant-a", BackendKind::H3dFact, 1),
-        live.request_stream("tenant-b", BackendKind::Pcm, 2),
-    ];
-    for _ in 0..3 {
-        for stream in &mut streams {
-            live.submit(stream.next_request());
-        }
-    }
-    let mut live_responses = live.drain();
-    live_responses.sort_by_key(|r| r.id);
-    let trace = live.trace().to_vec();
-    assert_eq!(trace.len(), 6, "every admitted request is traced");
-
-    let dma = service_on(TargetKind::DmaQueue);
-    let mut replayed = dma.replay(&trace);
-    replayed.sort_by_key(|r| r.id);
-    assert_eq!(replayed.len(), live_responses.len());
-    for (live_r, dma_r) in live_responses.iter().zip(&replayed) {
-        let cell = format!("request {} on {}", live_r.id, live_r.backend);
-        assert_eq!(live_r.id, dma_r.id, "{cell}: id");
-        assert_eq!(live_r.cursor, dma_r.cursor, "{cell}: run cursor");
-        assert_outcomes_identical(&live_r.outcome, &dma_r.outcome, &cell);
-    }
-
-    // And the reverse direction: a trace captured on the DMA target
-    // replays identically on the functional service.
-    let mut dma_live = service_on(TargetKind::DmaQueue);
-    let mut streams = [
-        dma_live.request_stream("tenant-a", BackendKind::H3dFact, 1),
-        dma_live.request_stream("tenant-b", BackendKind::Pcm, 2),
-    ];
-    for _ in 0..3 {
-        for stream in &mut streams {
-            dma_live.submit(stream.next_request());
-        }
-    }
-    let mut dma_responses = dma_live.drain();
-    dma_responses.sort_by_key(|r| r.id);
-    let functional = service_on(TargetKind::Functional);
-    let mut back = functional.replay(dma_live.trace());
-    back.sort_by_key(|r| r.id);
-    for (a, b) in dma_responses.iter().zip(&back) {
-        assert_outcomes_identical(&a.outcome, &b.outcome, &format!("reverse {}", a.id));
-    }
-}
-
-/// DMA offload is bit-identical to functional at the session layer too,
-/// and its cost report carries queue-occupancy statistics.
-#[test]
-fn dma_queue_sessions_match_functional_and_report_queue_stats() {
-    let spec = ProblemSpec::new(3, 8, 256);
-    for kind in [BackendKind::Sram2d, BackendKind::Stochastic] {
-        let run = |target: TargetKind| {
-            let mut s = Session::builder()
-                .spec(spec)
-                .backend(kind)
-                .seed(33)
-                .max_iters(500)
-                .target(target)
-                .build();
-            let report = s.run(2);
-            (report, s.last_cost_report().expect("target cost report"))
-        };
-        let (fr, fc) = run(TargetKind::Functional);
-        let (dr, dc) = run(TargetKind::DmaQueue);
-        assert_eq!(fr.solved, dr.solved, "{kind}: solved");
-        assert_eq!(fr.total_iterations, dr.total_iterations, "{kind}: iters");
-        assert_eq!(fr.total_energy_j, dr.total_energy_j, "{kind}: energy");
-        assert_eq!(fc.queue, None, "{kind}: functional has no queue");
-        let q = dc.queue.unwrap_or_else(|| panic!("{kind}: queue stats"));
-        assert!(q.commands > 0, "{kind}: commands flowed");
-        assert!(q.bytes > q.commands, "{kind}: multi-byte commands");
-        assert!(
-            q.max_depth > 0 && q.max_depth <= q.capacity,
-            "{kind}: occupancy within capacity"
-        );
-        // Same kernels behind the queue: the cost fields agree.
-        assert_eq!(fc.energy, dc.energy, "{kind}: energy ledger through DMA");
-        assert_eq!(fc.cycles, dc.cycles, "{kind}: cycles through DMA");
     }
 }
 
 /// The approximate tiled target is deterministic per seed: two fresh
-/// sessions produce bitwise-identical outcomes and cost reports —
+/// sessions produce bitwise-identical outcomes and run reports —
 /// temperature trajectory, energy ledger, ADC counts and all.
 #[test]
 fn approx_tiled_cost_reports_are_deterministic_per_seed() {
@@ -275,7 +91,7 @@ fn approx_tiled_cost_reports_are_deterministic_per_seed() {
             .target(TargetKind::ApproxTiled)
             .build();
         let report = s.run(2);
-        (report, s.last_cost_report().expect("cost report"))
+        (report, s.last_run_stats().expect("run report"))
     };
     let (ra, ca) = run(5);
     let (rb, cb) = run(5);
@@ -284,7 +100,7 @@ fn approx_tiled_cost_reports_are_deterministic_per_seed() {
     for (a, b) in ra.outcomes.iter().zip(&rb.outcomes) {
         assert_outcomes_identical(a, b, "approx-tiled same-seed");
     }
-    assert_eq!(ca, cb, "cost reports must be bitwise identical per seed");
+    assert_eq!(ca, cb, "run reports must be bitwise identical per seed");
     // A different seed draws different device noise.
     let (_, cc) = run(6);
     assert_ne!(ca, cc, "different seeds must differ somewhere");
@@ -304,45 +120,43 @@ fn approx_tiled_thermal_trajectory_is_sane() {
         .target(TargetKind::ApproxTiled)
         .build();
     let report = s.run(1);
-    let cost = s.last_cost_report().expect("cost report");
-    assert_eq!(cost.target, "approx-tiled");
+    let stats = s.last_run_stats().expect("run report");
+    assert_eq!(stats.backend, "hybrid-2d+approx");
     let iters = report.outcomes[0].iterations;
-    assert_eq!(cost.iterations, iters);
+    assert_eq!(stats.iterations, iters);
     assert_eq!(
-        cost.mean_die_temp_c.len(),
+        stats.mean_die_temp_c.len(),
         iters,
         "one sample per iteration"
     );
     let ambient = 25.0;
     let mut last = ambient;
-    for &t in &cost.mean_die_temp_c {
+    for &t in &stats.mean_die_temp_c {
         assert!(t >= last - 1e-9, "sustained load must not cool the dies");
         assert!(t < 200.0, "lumped model must stay stable");
         last = t;
     }
     assert!(last > ambient, "dies heat above ambient under load");
-    assert!(cost.peak_temp_c.unwrap() >= last - 1e-9);
-    assert!(cost.energy.as_ref().unwrap().total() > 0.0);
-    assert!(cost.cycles.unwrap() > 0);
-    assert!(cost.latency_s.unwrap() > 0.0);
-    assert!(cost.adc_conversions.unwrap() > 0);
-    // The session-level RunReport mirrors the cost report.
-    let stats = s.last_run_stats().expect("run report");
-    assert_eq!(stats.backend, "hybrid-2d+approx");
-    assert_eq!(stats.cycles, cost.cycles);
-    assert_eq!(stats.energy, cost.energy);
+    assert!(stats.peak_temp_c.unwrap() >= last - 1e-9);
+    assert!(stats.energy.as_ref().unwrap().total() > 0.0);
+    assert!(stats.cycles.unwrap() > 0);
+    assert!(stats.latency_s.unwrap() > 0.0);
+    assert!(stats.adc_conversions.unwrap() > 0);
 }
 
-/// Targets compose with the session's parallel executor: a multi-threaded
-/// target-routed run is bit-identical to the sequential one.
+/// Both targets compose with the session's parallel executor: a
+/// multi-threaded run is bit-identical to the sequential one.
 #[test]
 fn target_sessions_are_thread_invariant() {
     let spec = ProblemSpec::new(3, 8, 256);
-    for target in [TargetKind::Functional, TargetKind::DmaQueue] {
+    for (kind, target) in [
+        (BackendKind::Stochastic, TargetKind::Functional),
+        (BackendKind::H3dFact, TargetKind::ApproxTiled),
+    ] {
         let run = |threads: usize| {
             Session::builder()
                 .spec(spec)
-                .backend(BackendKind::Stochastic)
+                .backend(kind)
                 .seed(21)
                 .max_iters(500)
                 .threads(threads)
@@ -361,5 +175,105 @@ fn target_sessions_are_thread_invariant() {
         for (a, b) in seq.outcomes.iter().zip(&par.outcomes) {
             assert_outcomes_identical(a, b, &format!("{target} threads"));
         }
+    }
+}
+
+/// A service on the approximate tiled target keeps the live ≡ replay
+/// contract: a trace captured live over an `H3dFact` + `Hybrid2d` shard
+/// pool replays bit for bit, run cursors included.
+#[test]
+fn approx_tiled_service_replays_live_traces() {
+    let build = || {
+        ServiceBuilder::default()
+            .spec(ProblemSpec::new(3, 8, 256))
+            .seed(909)
+            .max_iters(500)
+            .backends(&[(BackendKind::H3dFact, 1), (BackendKind::Hybrid2d, 1)])
+            .batch_size(4)
+            .target(TargetKind::ApproxTiled)
+            .build()
+    };
+    let mut live = build();
+    let mut streams = [
+        live.request_stream("tenant-a", BackendKind::H3dFact, 1),
+        live.request_stream("tenant-b", BackendKind::Hybrid2d, 2),
+    ];
+    for _ in 0..3 {
+        for stream in &mut streams {
+            live.submit(stream.next_request());
+        }
+    }
+    let mut live_responses = live.drain();
+    live_responses.sort_by_key(|r| r.id);
+    assert_eq!(live_responses.len(), 6, "every request is answered");
+    let mut replayed = build().replay(live.trace());
+    replayed.sort_by_key(|r| r.id);
+    assert_eq!(replayed.len(), live_responses.len());
+    for (a, b) in live_responses.iter().zip(&replayed) {
+        let cell = format!("request {} on {}", a.id, a.backend);
+        assert_eq!(a.backend, b.backend, "{cell}: backend");
+        assert_eq!(a.cursor, b.cursor, "{cell}: run cursor");
+        assert_outcomes_identical(&a.outcome, &b.outcome, &cell);
+    }
+}
+
+/// Pins the approximate tiled target's values, not just its determinism:
+/// outcomes plus the exact bit patterns of the cost totals and the
+/// thermal endpoints, for both analog crossbar backends at one fixed
+/// seed. Any change to its kernels, seed discipline, energy recipe or
+/// thermal stepping moves at least one of these.
+#[test]
+fn approx_tiled_values_are_pinned() {
+    // (kind, solved, total iterations, then the bits of total energy,
+    // total latency, final peak temperature, final mean die temperature)
+    let pins: [(BackendKind, usize, usize, u64, u64, u64, u64); 2] = [
+        (
+            BackendKind::H3dFact,
+            3,
+            310,
+            0x3ec06733c4e418d6,
+            0x3f32037daa3a2b65,
+            0x403901397e8f03b4,
+            0x4039012483d72f50,
+        ),
+        (
+            BackendKind::Hybrid2d,
+            3,
+            310,
+            0x3ec21900b3914251,
+            0x3f30a8c4afc7d948,
+            0x403901eb360ba03d,
+            0x403901b77c7858c7,
+        ),
+    ];
+    for (kind, solved, iters, energy, latency, peak, mean_last) in pins {
+        let mut s = Session::builder()
+            .spec(ProblemSpec::new(3, 32, 256))
+            .backend(kind)
+            .seed(2024)
+            .max_iters(500)
+            .target(TargetKind::ApproxTiled)
+            .build();
+        let report = s.run(3);
+        let stats = s.last_run_stats().expect("run report");
+        assert_eq!(report.solved, solved, "{kind}: solved");
+        assert_eq!(report.total_iterations, iters, "{kind}: iterations");
+        assert_eq!(
+            report.total_energy_j.unwrap().to_bits(),
+            energy,
+            "{kind}: energy"
+        );
+        assert_eq!(
+            report.total_latency_s.unwrap().to_bits(),
+            latency,
+            "{kind}: latency"
+        );
+        assert_eq!(
+            stats.peak_temp_c.unwrap().to_bits(),
+            peak,
+            "{kind}: peak temp"
+        );
+        let last = *stats.mean_die_temp_c.last().expect("trajectory");
+        assert_eq!(last.to_bits(), mean_last, "{kind}: final mean die temp");
     }
 }

@@ -308,6 +308,72 @@ proptest! {
     }
 }
 
+/// Arbitrary bytes, half of them drawn from `{0, 1}`: small values keep
+/// decoded counts and lengths short, so random tails reach past the
+/// first field often enough to decode.
+fn arb_bytes(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
+    proptest::collection::vec(prop_oneof![0u8..=255, 0u8..=1], 0..max_len)
+}
+
+/// An encoded valid frame (length prefix included) with one byte flipped.
+fn arb_flipped_frame() -> impl Strategy<Value = Vec<u8>> {
+    (arb_frame(), 0usize..4096, 0u8..=255).prop_map(|(frame, pos, flip)| {
+        let mut bytes = frame.encode();
+        let i = pos % bytes.len();
+        bytes[i] ^= flip;
+        bytes
+    })
+}
+
+/// Arbitrary byte streams: raw bytes, a small length prefix before raw
+/// bytes (so the body decoder is reached instead of the oversize check),
+/// or a valid frame with one byte flipped.
+fn arb_stream() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        arb_bytes(96),
+        (0u32..48, arb_bytes(96)).prop_map(|(len, tail)| {
+            let mut bytes = len.to_le_bytes().to_vec();
+            bytes.extend_from_slice(&tail);
+            bytes
+        }),
+        arb_flipped_frame(),
+    ]
+}
+
+/// Body tails after the opcode: raw bytes, or a valid frame's tail with
+/// one byte flipped (which keeps most of the structure decodable).
+fn arb_tail() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        arb_bytes(48),
+        arb_flipped_frame().prop_map(|bytes| bytes[5..].to_vec()),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+    #[test]
+    fn arbitrary_streams_never_panic_the_reader(bytes in arb_stream()) {
+        let mut cursor = std::io::Cursor::new(&bytes);
+        // Read frames until a clean end or the first typed error.
+        while let Ok(Some(_)) = read_frame(&mut cursor) {}
+    }
+
+    #[test]
+    fn decoded_bodies_re_encode_to_their_input(
+        opcode in 0u8..=9,
+        tail in arb_tail(),
+    ) {
+        let mut body = vec![opcode];
+        body.extend_from_slice(&tail);
+        // Either a typed error, or a frame whose encoding is exactly the
+        // input: the decoder accepts only canonical bodies.
+        if let Ok(frame) = decode_body(&body) {
+            prop_assert_eq!(&frame.encode()[4..], &body[..]);
+        }
+    }
+}
+
 // ─── Directed malformed-input cases ─────────────────────────────────────
 
 #[test]
