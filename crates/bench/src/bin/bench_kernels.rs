@@ -1,6 +1,6 @@
 //! Kernel performance harness: measures the packed-codebook MVM, the
-//! batched bit-GEMM (per-B speedup table), the projection-regime
-//! crossover, the lockstep resonator, the allocation-free iteration
+//! batched bit-GEMM (per-B speedup table), the dispatch arms, the
+//! lockstep resonator, the allocation-free iteration
 //! round-trip, and the parallel batch executor against their
 //! pre-optimization baselines, then writes a `BENCH_kernels.json`
 //! summary so the perf trajectory is tracked from PR 2 onward.
@@ -23,7 +23,6 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use h3dfact_bench::kernels;
-use hdc::PackedCodebook;
 use resonator::engine::Factorizer;
 
 /// Median-of-runs wall time for one repetition of `f`, in nanoseconds.
@@ -194,26 +193,6 @@ fn main() {
         ));
     }
 
-    // --- Projection regime sweep: density vs wall time around the
-    //     measured sparse/dense crossover constant. ---
-    let mut sweep_rows = String::new();
-    let mut sums = vec![0.0f64; kernels::D];
-    let sweep_actives = [2usize, 8, 16, 32, 64, 128, 256];
-    for (k, &active) in sweep_actives.iter().enumerate() {
-        let weights = kernels::weights_with_active(active);
-        let ns = time_ns(mvm_reps / 2, || {
-            fx.book
-                .packed()
-                .weighted_sums_into(black_box(&weights), &mut sums);
-            black_box(sums[kernels::D - 1]);
-        });
-        let sparse = PackedCodebook::sparse_projection_regime(active, kernels::M);
-        sweep_rows.push_str(&format!(
-            "      {{ \"active\": {active}, \"sparse_regime\": {sparse}, \"ns\": {ns:.1} }}{}\n",
-            if k + 1 < sweep_actives.len() { "," } else { "" }
-        ));
-    }
-
     // --- Lockstep resonator: B sequential engine solves vs one lockstep
     //     batch at the same seeds, with a bit-identity assert. ---
     let (books, items, engine) = kernels::lockstep_fixture(8);
@@ -327,9 +306,6 @@ fn main() {
          \"dispatch_arms_m256_d1024_b8\": {{\n    \
          \"arms\": [\n{arm_rows}    ],\n    \
          \"note\": \"per runtime-dispatch arm; identity vs the scalar arm is hard-asserted before timing\"\n  }},\n  \
-         \"projection_regime_sweep_m256_d1024\": {{\n    \
-         \"sparse_dense_crossover\": {crossover},\n    \
-         \"points\": [\n{sweep_rows}    ]\n  }},\n  \
          \"lockstep_resonator_f3_m8_d256\": {{\n    \
          \"problems\": 8,\n    \
          \"sequential_s\": {seq_lockstep_s:.5},\n    \
@@ -352,7 +328,6 @@ fn main() {
          \"reports_bit_identical\": {identical},\n    \
          \"accuracy\": {:.4}\n  }}\n}}\n",
         seq_report.accuracy(),
-        crossover = hdc::SPARSE_DENSE_CROSSOVER,
         multi_core = cores > 1,
     );
     std::fs::write("BENCH_kernels.json", &json).expect("write BENCH_kernels.json");

@@ -177,19 +177,6 @@ pub mod kernels {
         fx.book.packed().similarities_batch_into(&fx.batch, out);
     }
 
-    /// Projection weights with exactly `active` non-zero entries (evenly
-    /// spread), for sweeping the sparse/dense regime crossover.
-    pub fn weights_with_active(active: usize) -> Vec<f64> {
-        let mut w = vec![0.0f64; M];
-        if active == 0 {
-            return w;
-        }
-        for k in 0..active.min(M) {
-            w[k * M / active.min(M)] = 1.0 + (k % 7) as f64;
-        }
-        w
-    }
-
     /// The lockstep-vs-sequential engine workload: `n` fresh problems at
     /// the session shape (`F = 3`, `M = 8`, `D = 256`) plus a stochastic
     /// engine to solve them with.

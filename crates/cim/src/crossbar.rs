@@ -343,7 +343,7 @@ impl Crossbar {
         let survival = (1.0 - self.noise.stuck_at_rate) * self.noise.write_gain();
         match self.fidelity {
             Fidelity::Column => {
-                // Ideal row sums through the packed set-bit kernel, then
+                // Ideal row sums through the packed projection kernel, then
                 // stuck-at survival and per-row aggregate noise.
                 self.packed.weighted_sums_into(weights, out);
                 for o in out.iter_mut() {

@@ -102,10 +102,10 @@ pub fn weighted_sums(vectors: &[BipolarVector], weights: &[f64]) -> Vec<f64> {
 /// Allocation-free [`weighted_sums`]: writes the `D` pre-sign projection
 /// sums into `out`.
 ///
-/// Zero-weight vectors are skipped; active vectors contribute `+w` on set
-/// bits only and the signed sum is recovered as `2·acc − Σ w` per element
-/// (the same kernel shape as
-/// [`crate::packed::PackedCodebook::weighted_sums_into`]).
+/// Zero-weight vectors are skipped; active vectors go through the
+/// dispatched bit-unpack accumulate, contributing `+w` on set bits only,
+/// and the signed sum is recovered as `2·acc − Σ w` per element (the same
+/// kernel as [`crate::packed::PackedCodebook::weighted_sums_into`]).
 ///
 /// # Panics
 ///
@@ -126,6 +126,7 @@ pub fn weighted_sums_into(vectors: &[BipolarVector], weights: &[f64], out: &mut 
     let dim = vectors[0].dim();
     assert_eq!(out.len(), dim, "weighted_sums output length mismatch");
     out.fill(0.0);
+    let kernels = crate::dispatch::active();
     let mut total = 0.0f64;
     for (v, &w) in vectors.iter().zip(weights) {
         assert_eq!(v.dim(), dim, "weighted_sums dimension mismatch");
@@ -133,7 +134,7 @@ pub fn weighted_sums_into(vectors: &[BipolarVector], weights: &[f64], out: &mut 
         if w == 0.0 {
             continue;
         }
-        crate::packed::accumulate_set_bits(v.words(), w, out);
+        (kernels.dense_accum)(v.words(), w, out);
     }
     for o in out.iter_mut() {
         *o = 2.0 * *o - total;

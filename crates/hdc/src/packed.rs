@@ -6,7 +6,7 @@
 //! MVM then chases `M` separate heap allocations. [`PackedCodebook`] lays
 //! all `M` codevectors' `u64` words out **row-major in one contiguous
 //! buffer**, so the similarity MVM (`a = Xᵀ q`) streams memory linearly and
-//! the projection MVM (`r = X a`) walks set bits of each row exactly once.
+//! the projection MVM (`r = X a`) unpacks each active row exactly once.
 //!
 //! # Kernel contract
 //!
@@ -30,10 +30,9 @@
 //! load of eight rows' words, and the eight partial counts accumulate in
 //! independent SIMD lanes with no horizontal reduction inside the loop.
 //! The projection MVM skips zero-weight rows entirely (the common case
-//! after the sparsifying ADC activation), iterating only the set bits of
-//! active rows when few are active and falling back to a branchless dense
-//! unpack otherwise, recovering the signed sum as `2·(Σ_{set} w) − Σ w`
-//! per element.
+//! after the sparsifying ADC activation) and unpacks every active row
+//! through the dispatched masked accumulate, recovering the signed sum as
+//! `2·(Σ_{set} w) − Σ w` per element.
 //!
 //! The batched similarity MVM is a cache-blocked bit-GEMM: the codebook is
 //! tiled into [`LANE_BLOCK`]-row strips, each strip is streamed once and
@@ -80,24 +79,6 @@ const PROJ_BLOCK_WORDS: usize = 16;
 /// between the last resident shape (64 KiB, parity) and the first
 /// streaming one (128 KiB, 1.8×).
 const GEMM_STREAM_BYTES: usize = 96 * 1024;
-
-/// Sparse/dense crossover of the projection kernel, as the maximum
-/// active-row fraction (`active · CROSSOVER ≤ M`) still served by the
-/// set-bit walk.
-///
-/// Measured on the 1-core bench host (see `bench_kernels`'s
-/// `projection_regime_sweep`, M = 256, D = 1024, `target-cpu=native`):
-/// the set-bit walk costs ~`D/2` data-dependent scalar adds per active
-/// row, the branchless unpack ~`D` SIMD-friendly multiply-adds per
-/// active row but with no branch misses, and the two curves cross
-/// between 1/16 and 1/4 active fraction depending on host
-/// vectorization. 1/8 sits at the crossing's midpoint and is never more
-/// than ~15 % off either side's optimum, so the kernel switches to the
-/// dense unpack once more than `M / 8` rows are active. Exposed (with
-/// [`PackedCodebook::sparse_projection_regime`]) so the bench harness
-/// can sweep densities against the constant rather than hard-coding its
-/// own copy.
-pub const SPARSE_DENSE_CROSSOVER: usize = 8;
 
 /// All `M` codevectors of one codebook in contiguous word buffers, with
 /// allocation-free popcount MVM kernels.
@@ -335,8 +316,10 @@ impl PackedCodebook {
     /// Projection MVM `r = X a` into `out`: `out[i] = Σ_j w_j · x_{j,i}`.
     ///
     /// Zero-weight rows are skipped (free sparsity after the quantizing
-    /// activation); active rows contribute `+w` on set bits only and the
-    /// signed sum is recovered as `2·acc − Σ w` per element.
+    /// activation: about `M/8` rows are active in a stochastic run);
+    /// every active row goes through the dispatched bit-unpack
+    /// accumulate, adding `w` on its set bits only, and the signed sum is
+    /// recovered as `2·acc − Σ w` per element.
     ///
     /// # Panics
     ///
@@ -360,49 +343,21 @@ impl PackedCodebook {
         assert_eq!(out.len(), self.dim, "projection output length mismatch");
         assert_eq!(weights.len(), self.len, "weight count mismatch");
         out.fill(0.0);
-        let active = weights.iter().filter(|&&w| w != 0.0).count();
         let mut total = 0.0f64;
-        if Self::sparse_projection_regime(active, self.len) {
-            // Sparse regime (typical after the quantizing activation):
-            // iterate only the set bits of the few active rows — no
-            // dispatched variant exists (or could win): the walk is
-            // data-dependent scalar pointer chasing by design.
-            for (j, &wj) in weights.iter().enumerate() {
-                total += wj;
-                if wj == 0.0 {
-                    continue;
-                }
-                accumulate_set_bits(self.row(j), wj, out);
+        // Masked SIMD adds on the explicit arms, the branchless select on
+        // the scalar arm. Every arm accumulates element-wise identically
+        // for finite weights (adding a masked `wj` vs `wj·1`, nothing vs
+        // `wj·0`), so the arm choice cannot move outputs.
+        for (j, &wj) in weights.iter().enumerate() {
+            total += wj;
+            if wj == 0.0 {
+                continue;
             }
-        } else {
-            // Dense regime: the dispatched bit-unpack accumulate —
-            // masked SIMD adds on the explicit arms, the branchless
-            // select on the scalar arm. Every arm accumulates
-            // element-wise identically (adding a masked `wj` vs `wj·1`,
-            // nothing vs `wj·0`), so the arm choice cannot move outputs.
-            for (j, &wj) in weights.iter().enumerate() {
-                total += wj;
-                if wj == 0.0 {
-                    continue;
-                }
-                (k.dense_accum)(self.row(j), wj, out);
-            }
+            (k.dense_accum)(self.row(j), wj, out);
         }
         for o in out.iter_mut() {
             *o = 2.0 * *o - total;
         }
-    }
-
-    /// True when `active` non-zero weights over `rows` codebook rows are
-    /// served by the sparse set-bit walk rather than the dense branchless
-    /// unpack (see [`SPARSE_DENSE_CROSSOVER`] for the measurement behind
-    /// the constant). This is the single regime decision shared by
-    /// [`PackedCodebook::weighted_sums_into`] and
-    /// [`PackedCodebook::weighted_sums_batch_into`], exposed so the bench
-    /// harness can sweep densities against it.
-    #[inline]
-    pub fn sparse_projection_regime(active: usize, rows: usize) -> bool {
-        active * SPARSE_DENSE_CROSSOVER <= rows
     }
 
     /// True when the batched similarity kernel reduces this codebook
@@ -544,23 +499,20 @@ impl PackedCodebook {
 
     /// Batched projection MVM: for each query `b`,
     /// `out[b·D + i] = Σ_j weights[b·M + j] · x_{j,i}` — **bit-identical**
-    /// (same per-query regime choice, same per-element accumulation
-    /// order) to `B` calls of [`PackedCodebook::weighted_sums_into`].
+    /// (same per-element accumulation order) to `B` calls of
+    /// [`PackedCodebook::weighted_sums_into`].
     ///
     /// `weights` is query-major `B × M`, `out` query-major `B × D`, with
-    /// `B` inferred from `weights.len() / len()`. Sparse-regime queries
-    /// run the per-query set-bit walk (they touch few rows by
-    /// definition); dense-regime queries run the cache-blocked dispatched
-    /// bit-GEMM: the output is tiled into [`PROJ_BLOCK_WORDS`]-word
-    /// blocks (8 KiB of `f64` per query) and, per block, every active
-    /// row's word slice feeds the dispatched dense-accumulate — so the
-    /// output block stays L1-resident across the whole `M`-row sweep and
-    /// each row contributes one short contiguous load per block instead
-    /// of a `D`-wide accumulator walk. Per-element accumulation order
-    /// (ascending `j`) is unchanged by the tiling, keeping outputs
-    /// bit-identical to the per-query kernel. Unlike the per-query
-    /// kernels this entry point allocates `O(B)` regime flags (never
-    /// anything proportional to `M·D`).
+    /// `B` inferred from `weights.len() / len()`. This is the
+    /// cache-blocked dispatched bit-GEMM: the output is tiled into
+    /// [`PROJ_BLOCK_WORDS`]-word blocks (8 KiB of `f64` per query) and,
+    /// per block, every active row's word slice feeds the dispatched
+    /// dense-accumulate — so the output block stays L1-resident across
+    /// the whole `M`-row sweep and each row contributes one short
+    /// contiguous load per block instead of a `D`-wide accumulator walk.
+    /// Per-element accumulation order (ascending `j`) is unchanged by the
+    /// tiling, keeping outputs bit-identical to the per-query kernel.
+    /// Nothing is allocated.
     ///
     /// # Panics
     ///
@@ -592,48 +544,27 @@ impl PackedCodebook {
         let bn = weights.len() / m;
         assert_eq!(out.len(), bn * d, "batch projection output length mismatch");
         out.fill(0.0);
-        let dense: Vec<bool> = (0..bn)
-            .map(|b| {
-                let active = weights[b * m..(b + 1) * m]
-                    .iter()
-                    .filter(|&&w| w != 0.0)
-                    .count();
-                !Self::sparse_projection_regime(active, m)
-            })
-            .collect();
-        for (b, _) in dense.iter().enumerate().filter(|&(_, &dns)| !dns) {
-            let ob = &mut out[b * d..(b + 1) * d];
-            for (j, &wj) in weights[b * m..(b + 1) * m].iter().enumerate() {
-                if wj == 0.0 {
-                    continue;
-                }
-                accumulate_set_bits(self.row(j), wj, ob);
-            }
-        }
-        if dense.iter().any(|&dns| dns) {
-            let w = self.words_per_row;
-            // Dim-blocked dispatched bit-GEMM: block outer so each 8 KiB
-            // output tile is revisited by every row while L1-hot; `j`
-            // stays the innermost *ordering* per element, so each
-            // out-element sees the same addition sequence as the
-            // per-query kernel.
-            let mut w0 = 0;
-            while w0 < w {
-                let w1 = (w0 + PROJ_BLOCK_WORDS).min(w);
-                let e0 = w0 * WORD_BITS;
-                let e1 = (w1 * WORD_BITS).min(d);
-                for j in 0..m {
-                    let row_blk = &self.row(j)[w0..w1];
-                    for (b, _) in dense.iter().enumerate().filter(|&(_, &dns)| dns) {
-                        let wj = weights[b * m + j];
-                        if wj == 0.0 {
-                            continue;
-                        }
-                        (k.dense_accum)(row_blk, wj, &mut out[b * d + e0..b * d + e1]);
+        let w = self.words_per_row;
+        // Dim-blocked dispatched bit-GEMM: block outer so each 8 KiB
+        // output tile is revisited by every row while L1-hot; `j` stays
+        // the innermost *ordering* per element, so each out-element sees
+        // the same addition sequence as the per-query kernel.
+        let mut w0 = 0;
+        while w0 < w {
+            let w1 = (w0 + PROJ_BLOCK_WORDS).min(w);
+            let e0 = w0 * WORD_BITS;
+            let e1 = (w1 * WORD_BITS).min(d);
+            for j in 0..m {
+                let row_blk = &self.row(j)[w0..w1];
+                for b in 0..bn {
+                    let wj = weights[b * m + j];
+                    if wj == 0.0 {
+                        continue;
                     }
+                    (k.dense_accum)(row_blk, wj, &mut out[b * d + e0..b * d + e1]);
                 }
-                w0 = w1;
             }
+            w0 = w1;
         }
         for b in 0..bn {
             let total: f64 = weights[b * m..(b + 1) * m].iter().sum();
@@ -776,30 +707,6 @@ impl PackedBatch {
     #[inline]
     pub fn query_words(&self, b: usize) -> &[u64] {
         &self.qwords[b * self.words_per_query..(b + 1) * self.words_per_query]
-    }
-}
-
-/// Adds `w` to `out[i]` for every set bit `i` of `words` — the per-row
-/// accumulate step of the sparse projection kernel, shared with
-/// [`crate::ops::weighted_sums_into`]. Bits in the padding tail of the
-/// last word (positions at or beyond `out.len()`) are ignored, so a
-/// corrupted tail can never index out of bounds.
-#[inline]
-pub(crate) fn accumulate_set_bits(words: &[u64], w: f64, out: &mut [f64]) {
-    let tail = out.len() % WORD_BITS;
-    let last = words.len() - 1;
-    for (wi, &word) in words.iter().enumerate() {
-        let base = wi * WORD_BITS;
-        let mut bits = if tail != 0 && wi == last {
-            word & ((1u64 << tail) - 1)
-        } else {
-            word
-        };
-        while bits != 0 {
-            let b = bits.trailing_zeros() as usize;
-            out[base + b] += w;
-            bits &= bits - 1;
-        }
     }
 }
 
@@ -983,8 +890,8 @@ mod tests {
 
     #[test]
     fn batched_weighted_sums_match_per_query_bitwise() {
-        // Mixed regimes inside one batch: query 0 sparse (one active row),
-        // query 1 dense (all rows active), query 2 all-zero weights.
+        // Mixed densities inside one batch: query 0 has one active row,
+        // query 1 all rows active, query 2 all-zero weights.
         let (m, d) = (24, 523);
         let vs = vectors(m, d, 62);
         let packed = PackedCodebook::from_vectors(&vs);
@@ -1030,21 +937,6 @@ mod tests {
         }
         assert_eq!(batch.capacity(), 4);
         assert_eq!(batch.words_per_query(), 3);
-    }
-
-    #[test]
-    fn regime_decision_matches_legacy_threshold() {
-        // The measured constant must reproduce the pre-constant behavior
-        // (`8 · active <= M`) so existing golden outputs cannot move.
-        for m in [1usize, 8, 64, 256] {
-            for active in 0..=m {
-                assert_eq!(
-                    PackedCodebook::sparse_projection_regime(active, m),
-                    8 * active <= m,
-                    "active={active} m={m}"
-                );
-            }
-        }
     }
 
     #[test]

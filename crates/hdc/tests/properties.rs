@@ -169,17 +169,16 @@ proptest! {
     }
 
     #[test]
-    fn packed_projection_regimes_agree_at_edge_dimensions(
+    fn packed_projection_densities_agree_at_edge_dimensions(
         m in 9usize..24,
         dim in arb_dim(),
         seed in 0u64..500,
         dense in prop_oneof![Just(false), Just(true)],
     ) {
-        // The projection kernel picks its regime from the active-row
-        // count: one active row of m ≥ 9 takes the sparse set-bit walk,
-        // all-active takes the branchless dense unpack. Both must equal
-        // the naive sign loop at every dimension shape — D < 64, ragged
-        // tails, and exact multiples alike — and so must the unpacked
+        // One active row and all rows active both go through the
+        // dispatched bit-unpack accumulate; both must equal the naive
+        // sign loop at every dimension shape — D < 64, ragged tails, and
+        // exact multiples alike — and so must the unpacked
         // `ops::weighted_sums_into` twin.
         let mut rng = rng_from_seed(seed);
         let cb = Codebook::random(m, dim, &mut rng);
@@ -190,9 +189,6 @@ proptest! {
             w[m / 2] = 2.0;
             w
         };
-        let active = weights.iter().filter(|&&w| w != 0.0).count();
-        // Verify the strategy actually exercises the intended regime.
-        prop_assert_eq!(8 * active <= m, !dense);
         let mut packed_out = vec![0.0f64; dim];
         cb.packed().weighted_sums_into(&weights, &mut packed_out);
         let mut unpacked_out = vec![0.0f64; dim];
@@ -204,8 +200,8 @@ proptest! {
                 .zip(&weights)
                 .map(|(v, &w)| w * v.sign(i) as f64)
                 .sum();
-            prop_assert_eq!(packed_out[i], expect, "packed regime dense={} element {}", dense, i);
-            prop_assert_eq!(unpacked_out[i], expect, "unpacked regime dense={} element {}", dense, i);
+            prop_assert_eq!(packed_out[i], expect, "packed dense={} element {}", dense, i);
+            prop_assert_eq!(unpacked_out[i], expect, "unpacked dense={} element {}", dense, i);
         }
     }
 

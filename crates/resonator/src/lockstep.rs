@@ -32,10 +32,7 @@
 //!
 //! All iteration scratch (the packed query batch, the `B × M` weight
 //! block, the `B × D` sum block) is owned by the batch and reused across
-//! iterations — nothing proportional to `M` or `D` allocates inside the
-//! stepping loop (the batched projection kernel keeps one documented
-//! `O(B)` regime-flag allocation per call; see
-//! [`PackedCodebook::weighted_sums_batch_into`]).
+//! iterations — nothing allocates inside the stepping loop.
 
 use std::time::Instant;
 
@@ -48,7 +45,6 @@ use crate::engine::{
     CycleAction, DegeneratePolicy, FactorizationOutcome, LoopConfig, PhaseTimes, UpdateOrder,
 };
 use hdc::rng::rng_from_seed;
-use hdc::stats::normal;
 use hdc::{BipolarVector, Codebook, PackedBatch};
 
 /// One problem of a lockstep batch: the query, optional ground truth, and
@@ -246,24 +242,17 @@ impl BatchedResonator {
                     .similarities_batch_into(&batch, &mut sims[..active.len() * m]);
                 // Per-problem post-processing in slot order: noise from
                 // the slot's own kernel RNG, rectification, activation —
-                // the exact op sequence of `similarity_weights_into`.
+                // the same fused kernel `similarity_weights_into` calls.
                 projecting.clear();
                 for (k, &s) in active.iter().enumerate() {
                     let slot = &mut slots[s];
                     slot.weights.copy_from_slice(&sims[k * m..(k + 1) * m]);
-                    if self.noise_sigma > 0.0 {
-                        for w in slot.weights.iter_mut() {
-                            *w += normal(0.0, self.noise_sigma, &mut slot.noise_rng);
-                        }
-                    }
-                    if self.rectify {
-                        for w in slot.weights.iter_mut() {
-                            if *w < 0.0 {
-                                *w = 0.0;
-                            }
-                        }
-                    }
-                    self.activation.apply(&mut slot.weights);
+                    self.activation.apply_noisy(
+                        &mut slot.weights,
+                        self.noise_sigma,
+                        self.rectify,
+                        &mut slot.noise_rng,
+                    );
                     projecting.push(s);
                 }
                 let similarity_t = t1.elapsed() / n_active;

@@ -17,7 +17,6 @@ use crate::engine::{
 };
 use crate::lockstep::{BatchedResonator, LockstepProblem};
 use hdc::rng::{derive_seed, rng_from_seed};
-use hdc::stats::normal;
 use hdc::{BipolarVector, Codebook, ProblemSpec};
 
 /// Stream namespace separating the stochastic engine's loop seed from its
@@ -129,19 +128,8 @@ impl ResonatorKernels for SoftwareKernels<'_> {
                 *w *= self.survival;
             }
         }
-        if self.noise_sigma > 0.0 {
-            for w in out.iter_mut() {
-                *w += normal(0.0, self.noise_sigma, &mut self.rng);
-            }
-        }
-        if self.rectify {
-            for w in out.iter_mut() {
-                if *w < 0.0 {
-                    *w = 0.0;
-                }
-            }
-        }
-        self.activation.apply(out);
+        self.activation
+            .apply_noisy(out, self.noise_sigma, self.rectify, &mut self.rng);
     }
 
     fn project_into(&mut self, factor: usize, weights: &[f64], out: &mut [f64]) {

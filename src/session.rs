@@ -868,8 +868,11 @@ impl Session {
         let (outcomes, batch_report_valid) = if threads > 1 {
             let solves = self.solve_items_parallel(&items, threads);
             let reports: Vec<RunReport> = solves.iter().filter_map(|s| s.report.clone()).collect();
-            let outcomes: Vec<FactorizationOutcome> =
-                solves.into_iter().map(|s| s.outcome).collect();
+            // Sized up front, as in `run`: collecting straight from the
+            // `IndexedSolve` vector would reuse its larger allocation, and
+            // callers that keep parts of the outcomes would pin it.
+            let mut outcomes = Vec::with_capacity(items.len());
+            outcomes.extend(solves.into_iter().map(|s| s.outcome));
             let folded =
                 native && reports.len() == items.len() && self.backend.fold_batch_reports(&reports);
             if folded {

@@ -266,6 +266,29 @@ fn adc_bits_override_changes_stochastic_model_behavior() {
 }
 
 #[test]
+fn run_batched_outcomes_own_exactly_their_length() {
+    // Callers keep parts of the outcomes (perfbench keeps every decode),
+    // so a batch's outcome vector must not carry spare capacity from an
+    // allocation reused for a larger element type.
+    for threads in [1, 2] {
+        let mut session = Session::builder()
+            .spec(ProblemSpec::new(3, 16, 256))
+            .backend(BackendKind::Stochastic)
+            .seed(43)
+            .max_iters(400)
+            .threads(threads)
+            .build();
+        let report = session.run_batched(8);
+        assert_eq!(report.outcomes.len(), 8);
+        assert_eq!(
+            report.outcomes.capacity(),
+            report.outcomes.len(),
+            "threads({threads})"
+        );
+    }
+}
+
+#[test]
 fn threaded_batch_report_is_identical_to_sequential() {
     // The deterministic parallel executor's whole contract: a threads(4)
     // batch run must produce a SessionReport identical to threads(1) at
