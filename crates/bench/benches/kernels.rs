@@ -86,77 +86,6 @@ fn bench_kernels_packed(c: &mut Criterion) {
     }
 }
 
-/// The batched bit-GEMM group added with the lockstep batching PR: the
-/// matrix–matrix similarity kernel against the per-query loop at both
-/// dispatch regimes (cache-resident and streaming), the batched
-/// projection, and the lockstep resonator against sequential engine
-/// calls. Workload bodies live in `h3dfact_bench::kernels`, shared with
-/// the `bench_kernels` harness bin so the two can never drift apart.
-fn bench_kernels_batched(c: &mut Criterion) {
-    use h3dfact_bench::kernels;
-    use resonator::engine::Factorizer;
-
-    for (m, d, label) in [
-        (kernels::M, kernels::D, "resident"),
-        (kernels::M_STREAMING, kernels::D_STREAMING, "streaming"),
-    ] {
-        let bfx = kernels::batch_fixture(m, d, 8);
-        let mut out = vec![0.0f64; 8 * m];
-        c.bench_function(
-            &format!("kernels_batched/similarities_perquery8_{label}"),
-            |bch| {
-                bch.iter(|| {
-                    kernels::similarities_perquery_loop(black_box(&bfx), &mut out);
-                    black_box(out[8 * m - 1])
-                })
-            },
-        );
-        c.bench_function(
-            &format!("kernels_batched/similarities_batched8_{label}"),
-            |bch| {
-                bch.iter(|| {
-                    kernels::similarities_batched(black_box(&bfx), &mut out);
-                    black_box(out[8 * m - 1])
-                })
-            },
-        );
-    }
-
-    let fx = kernels::fixture();
-    let weights: Vec<f64> = (0..8).flat_map(|_| fx.weights.clone()).collect();
-    let mut sums = vec![0.0f64; 8 * kernels::D];
-    c.bench_function("kernels_batched/weighted_sums_batched8_256x1024", |bch| {
-        bch.iter(|| {
-            fx.book
-                .packed()
-                .weighted_sums_batch_into(black_box(&weights), &mut sums);
-            black_box(sums[8 * kernels::D - 1])
-        })
-    });
-
-    let (books, items, engine) = kernels::lockstep_fixture(8);
-    let queries: Vec<(&hdc::BipolarVector, Option<&[usize]>)> = items
-        .iter()
-        .map(|i| (&i.query, i.truth.as_deref()))
-        .collect();
-    c.bench_function("kernels_batched/resonator_sequential8_f3_m8_d256", |bch| {
-        let mut eng = engine;
-        bch.iter(|| {
-            eng.set_run_cursor(0);
-            for i in &items {
-                black_box(eng.factorize_query(&books, &i.query, i.truth.as_deref()));
-            }
-        })
-    });
-    c.bench_function("kernels_batched/resonator_lockstep8_f3_m8_d256", |bch| {
-        let mut eng = engine;
-        bch.iter(|| {
-            eng.set_run_cursor(0);
-            black_box(eng.factorize_lockstep(&books, &queries));
-        })
-    });
-}
-
 fn bench_crossbar(c: &mut Criterion) {
     let mut rng = rng_from_seed(2);
     let book = Codebook::random(256, 256, &mut rng);
@@ -228,9 +157,4 @@ criterion_group! {
     config = Criterion::default().sample_size(10);
     targets = bench_vsa, bench_kernels_packed, bench_crossbar, bench_engines, bench_thermal
 }
-criterion_group! {
-    name = kernels_batched;
-    config = Criterion::default().sample_size(10);
-    targets = bench_kernels_batched
-}
-criterion_main!(kernels, kernels_batched);
+criterion_main!(kernels);

@@ -1,9 +1,8 @@
 //! Kernel performance harness: measures the packed-codebook MVM, the
-//! batched bit-GEMM (per-B speedup table), the dispatch arms, the
-//! lockstep resonator, the allocation-free iteration
-//! round-trip, and the parallel batch executor against their
-//! pre-optimization baselines, then writes a `BENCH_kernels.json`
-//! summary so the perf trajectory is tracked from PR 2 onward.
+//! dispatch arms, the allocation-free iteration round-trip, and the
+//! parallel batch executor against their pre-optimization baselines,
+//! then writes a `BENCH_kernels.json` summary so the perf trajectory is
+//! tracked.
 //!
 //! ```sh
 //! cargo run --release -p h3dfact_bench --bin bench_kernels            # full
@@ -12,18 +11,16 @@
 //!
 //! The JSON records nanoseconds per operation for each variant, the
 //! speedup ratios, and a provenance block (`target-cpu`, architecture,
-//! word width, whether the Harley–Seal CSA path was taken) without which
-//! cross-host numbers are not comparable. The harness **asserts** — in
-//! `--quick` CI smoke runs too — that the batched bit-GEMM is
-//! value-identical to the per-query kernels, that the lockstep resonator
-//! reproduces the sequential engine bit for bit, and that the parallel
-//! batch report matches the sequential one.
+//! word width, the dispatch arm) without which cross-host numbers are not
+//! comparable. The harness **asserts** — in `--quick` CI smoke runs too —
+//! that every supported dispatch arm reproduces the scalar arm bit for
+//! bit on the per-query kernels, and that the parallel batch report
+//! matches the sequential one.
 
 use std::hint::black_box;
 use std::time::Instant;
 
 use h3dfact_bench::kernels;
-use resonator::engine::Factorizer;
 
 /// Median-of-runs wall time for one repetition of `f`, in nanoseconds.
 fn time_ns<F: FnMut()>(reps: usize, mut f: F) -> f64 {
@@ -46,13 +43,11 @@ fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let mvm_reps = if quick { 200 } else { 3_000 };
     let iter_reps = if quick { 50 } else { 1_000 };
-    let lockstep_reps = if quick { 2 } else { 10 };
     let batch_problems = if quick { 8 } else { 32 };
 
     let fx = kernels::fixture();
 
     // --- Provenance: without these, cross-host numbers are noise. ---
-    let harley_seal = fx.book.packed().batch_uses_csa();
     let det = hdc::dispatch::detection();
     let forced = det
         .forced
@@ -61,7 +56,6 @@ fn main() {
     let provenance = format!(
         "  \"provenance\": {{\n    \"target_cpu\": \"{}\",\n    \"arch\": \"{}\",\n    \
          \"word_bits\": 64,\n    \"csa_block_words\": {},\n    \
-         \"harley_seal_taken\": {harley_seal},\n    \
          \"simd_dispatch\": {{\n      \
          \"arm\": \"{}\",\n      \
          \"forced\": {forced},\n      \
@@ -91,145 +85,49 @@ fn main() {
     });
     let mvm_speedup = pervector_ns / packed_ns;
 
-    // --- Batched bit-GEMM: per-query packed loop vs the matrix–matrix
-    //     kernel, per batch size and per dispatch regime (cache-resident
-    //     M = 256 / D = 1024 and streaming M = 1024 / D = 8192), with a
-    //     hard identity assert
-    //     (the per-query path is the ground truth). ---
-    let mut batched_identical = true;
-    let mut speedup_b8 = 0.0f64;
-    let mut regime_tables = String::new();
-    for (m, d, label) in [
-        (kernels::M, kernels::D, "resident"),
-        (kernels::M_STREAMING, kernels::D_STREAMING, "streaming"),
-    ] {
-        let mut per_b_rows = String::new();
-        for b in kernels::BATCH_SIZES {
-            let bfx = kernels::batch_fixture(m, d, b);
-            let mut per_query = vec![0.0f64; b * m];
-            let mut batched = vec![0.0f64; b * m];
-            kernels::similarities_perquery_loop(&bfx, &mut per_query);
-            kernels::similarities_batched(&bfx, &mut batched);
-            batched_identical &= per_query
-                .iter()
-                .zip(&batched)
-                .all(|(p, q)| p.to_bits() == q.to_bits());
-            let reps = (mvm_reps * kernels::M * kernels::D / (b * m * d)).max(8);
-            let perquery_ns = time_ns(reps, || {
-                kernels::similarities_perquery_loop(black_box(&bfx), &mut per_query);
-                black_box(per_query[b * m - 1]);
-            }) / b as f64;
-            let batched_ns = time_ns(reps, || {
-                kernels::similarities_batched(black_box(&bfx), &mut batched);
-                black_box(batched[b * m - 1]);
-            }) / b as f64;
-            let speedup = perquery_ns / batched_ns;
-            if b == 8 && d == kernels::D_STREAMING {
-                speedup_b8 = speedup;
-            }
-            per_b_rows.push_str(&format!(
-                "        {{ \"b\": {b}, \"perquery_ns_per_query\": {perquery_ns:.1}, \
-                 \"batched_ns_per_query\": {batched_ns:.1}, \"speedup\": {speedup:.2} }},\n"
-            ));
-        }
-        per_b_rows.pop();
-        per_b_rows.pop();
-        per_b_rows.push('\n');
-        regime_tables.push_str(&format!(
-            "    \"{label}_m{m}_d{d}\": {{\n      \"per_b\": [\n{per_b_rows}      ]\n    }},\n"
-        ));
-    }
-    assert!(
-        batched_identical,
-        "batched similarity bit-GEMM diverged from the per-query kernel"
-    );
-
     // --- Runtime dispatch arms: similarity + projection per supported
-    //     arm, each hard-asserted bit-identical to the scalar arm (the
-    //     portable ground truth) before it is timed. ---
-    let arm_b = 8usize;
-    let afx = kernels::batch_fixture(kernels::M, kernels::D, arm_b);
-    let packed = afx.book.packed();
-    // 15/16 of these weights are non-zero, pinning the dense projection
-    // regime the dispatched accumulate exists for.
-    let proj_weights: Vec<f64> = (0..arm_b * kernels::M)
-        .map(|i| ((i % 16) as f64) - 7.0)
-        .collect();
-    let mut sims_ref = vec![0.0f64; arm_b * kernels::M];
-    let mut proj_ref = vec![0.0f64; arm_b * kernels::D];
-    packed.similarities_batch_into_forced(&afx.batch, &mut sims_ref, hdc::SimdArm::Scalar);
-    packed.weighted_sums_batch_into_forced(&proj_weights, &mut proj_ref, hdc::SimdArm::Scalar);
-    let arm_reps = (mvm_reps / arm_b).max(8);
+    //     arm on the per-query kernels, each hard-asserted bit-identical
+    //     to the scalar arm (the portable ground truth) before it is
+    //     timed. 15/16 of the fixture weights are non-zero, pinning the
+    //     dense projection regime the dispatched accumulate exists for. ---
+    let packed = fx.book.packed();
+    let mut sims_ref = vec![0.0f64; kernels::M];
+    let mut proj_ref = vec![0.0f64; kernels::D];
+    packed.similarities_into_forced(&fx.query, &mut sims_ref, hdc::SimdArm::Scalar);
+    packed.weighted_sums_into_forced(&fx.weights, &mut proj_ref, hdc::SimdArm::Scalar);
+    let proj_reps = (mvm_reps / 8).max(8);
     let mut arm_rows = String::new();
     let supported: Vec<hdc::SimdArm> = hdc::SimdArm::ALL
         .into_iter()
         .filter(|a| a.supported())
         .collect();
     for (k, &arm) in supported.iter().enumerate() {
-        let mut sims = vec![0.0f64; arm_b * kernels::M];
-        let mut proj = vec![0.0f64; arm_b * kernels::D];
-        packed.similarities_batch_into_forced(&afx.batch, &mut sims, arm);
-        packed.weighted_sums_batch_into_forced(&proj_weights, &mut proj, arm);
+        let mut sims = vec![0.0f64; kernels::M];
+        let mut proj = vec![0.0f64; kernels::D];
+        packed.similarities_into_forced(&fx.query, &mut sims, arm);
+        packed.weighted_sums_into_forced(&fx.weights, &mut proj, arm);
         let identical = sims
             .iter()
             .zip(&sims_ref)
             .chain(proj.iter().zip(&proj_ref))
             .all(|(x, y)| x.to_bits() == y.to_bits());
         assert!(identical, "dispatch arm `{arm}` diverged from scalar");
-        let sim_ns = time_ns(arm_reps, || {
-            packed.similarities_batch_into_forced(black_box(&afx.batch), &mut sims, arm);
-            black_box(sims[arm_b * kernels::M - 1]);
-        }) / arm_b as f64;
-        let proj_ns = time_ns(arm_reps, || {
-            packed.weighted_sums_batch_into_forced(black_box(&proj_weights), &mut proj, arm);
-            black_box(proj[arm_b * kernels::D - 1]);
-        }) / arm_b as f64;
+        let sim_ns = time_ns(mvm_reps, || {
+            packed.similarities_into_forced(black_box(&fx.query), &mut sims, arm);
+            black_box(sims[kernels::M - 1]);
+        });
+        let proj_ns = time_ns(proj_reps, || {
+            packed.weighted_sums_into_forced(black_box(&fx.weights), &mut proj, arm);
+            black_box(proj[kernels::D - 1]);
+        });
         arm_rows.push_str(&format!(
             "      {{ \"arm\": \"{arm}\", \"active\": {}, \
-             \"sim_ns_per_query\": {sim_ns:.1}, \"proj_ns_per_query\": {proj_ns:.1}, \
+             \"sim_ns\": {sim_ns:.1}, \"proj_ns\": {proj_ns:.1}, \
              \"bit_identical_to_scalar\": {identical} }}{}\n",
             arm == det.arm,
             if k + 1 < supported.len() { "," } else { "" }
         ));
     }
-
-    // --- Lockstep resonator: B sequential engine solves vs one lockstep
-    //     batch at the same seeds, with a bit-identity assert. ---
-    let (books, items, engine) = kernels::lockstep_fixture(8);
-    let queries: Vec<(&hdc::BipolarVector, Option<&[usize]>)> = items
-        .iter()
-        .map(|i| (&i.query, i.truth.as_deref()))
-        .collect();
-    let mut seq_engine = engine;
-    let mut lock_engine = seq_engine;
-    seq_engine.set_run_cursor(0);
-    let seq_outcomes: Vec<_> = items
-        .iter()
-        .map(|i| seq_engine.factorize_query(&books, &i.query, i.truth.as_deref()))
-        .collect();
-    lock_engine.set_run_cursor(0);
-    let lock_outcomes = lock_engine.factorize_lockstep(&books, &queries);
-    let lockstep_identical = seq_outcomes.iter().zip(&lock_outcomes).all(|(s, l)| {
-        let (mut s, mut l) = (s.clone(), l.clone());
-        s.times = Default::default();
-        l.times = Default::default();
-        s == l
-    });
-    assert!(
-        lockstep_identical,
-        "lockstep resonator diverged from the sequential engine"
-    );
-    let seq_lockstep_s = time_ns(lockstep_reps, || {
-        seq_engine.set_run_cursor(0);
-        for i in &items {
-            black_box(seq_engine.factorize_query(&books, &i.query, i.truth.as_deref()));
-        }
-    }) / 1e9;
-    let lock_lockstep_s = time_ns(lockstep_reps, || {
-        lock_engine.set_run_cursor(0);
-        black_box(lock_engine.factorize_lockstep(&books, &queries));
-    }) / 1e9;
-    let lockstep_speedup = seq_lockstep_s / lock_lockstep_s;
 
     // --- Iteration round-trip (similarity + projection + re-sign):
     //     allocating reference vs scratch-buffer path. ---
@@ -298,20 +196,9 @@ fn main() {
          \"pervector_ns\": {pervector_ns:.1},\n    \
          \"packed_ns\": {packed_ns:.1},\n    \
          \"speedup\": {mvm_speedup:.2}\n  }},\n  \
-         \"batched_similarity_mvm\": {{\n    \
-         \"batched_bit_identical\": {batched_identical},\n    \
-         \"speedup_b8_streaming\": {speedup_b8:.2},\n\
-         {regime_tables}    \
-         \"note\": \"streaming = codebook past the cache-residency threshold, the regime the bit-GEMM exists for\"\n  }},\n  \
-         \"dispatch_arms_m256_d1024_b8\": {{\n    \
+         \"dispatch_arms_m256_d1024\": {{\n    \
          \"arms\": [\n{arm_rows}    ],\n    \
-         \"note\": \"per runtime-dispatch arm; identity vs the scalar arm is hard-asserted before timing\"\n  }},\n  \
-         \"lockstep_resonator_f3_m8_d256\": {{\n    \
-         \"problems\": 8,\n    \
-         \"sequential_s\": {seq_lockstep_s:.5},\n    \
-         \"lockstep_s\": {lock_lockstep_s:.5},\n    \
-         \"speedup\": {lockstep_speedup:.2},\n    \
-         \"outcomes_bit_identical\": {lockstep_identical}\n  }},\n  \
+         \"note\": \"per runtime-dispatch arm, one query; identity vs the scalar arm is hard-asserted before timing\"\n  }},\n  \
          \"iteration_roundtrip_m256_d1024\": {{\n    \
          \"allocating_ns\": {alloc_ns:.1},\n    \
          \"allocfree_ns\": {allocfree_ns:.1},\n    \

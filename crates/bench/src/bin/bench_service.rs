@@ -34,8 +34,8 @@ fn percentile(sorted: &[f64], permille: usize) -> f64 {
     sorted[rank - 1]
 }
 
-/// A shape whose codebook rows stream in the bit-GEMM (128 KiB > the
-/// 96 KiB threshold), so hot-tier promotion pays real materialization.
+/// A shape whose codebooks are past the registry's streaming threshold
+/// (128 KiB > 96 KiB), so hot-tier promotion pays real materialization.
 const STREAMING_SPEC: ProblemSpec = ProblemSpec {
     factors: 2,
     codebook_size: 512,

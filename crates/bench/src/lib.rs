@@ -11,7 +11,7 @@ pub mod kernels {
     //! the two can never drift apart.
 
     use hdc::rng::rng_from_seed;
-    use hdc::{BipolarVector, Codebook, PackedBatch};
+    use hdc::{BipolarVector, Codebook};
 
     /// Codebook rows `M` of the microbench shape.
     pub const M: usize = 256;
@@ -112,89 +112,6 @@ pub mod kernels {
             .max_iters(max_iters)
             .threads(threads)
             .build()
-    }
-
-    /// Query-batch sizes of the batched bit-GEMM table (`B = 1` pins the
-    /// batching overhead floor; 8 is the service's default micro-batch;
-    /// 16 shows the diminishing-returns tail).
-    pub const BATCH_SIZES: [usize; 4] = [1, 4, 8, 16];
-
-    /// Shape of the streaming-regime batched fixture: at `M = 1024`,
-    /// `D = 8192` the codebook's lane mirror (1 MiB) decisively exceeds
-    /// [`hdc::packed::PackedCodebook::batch_streams_codebook`]'s
-    /// threshold and the last-level-resident working set of typical
-    /// hosts, so the per-query path re-streams it per query while the
-    /// bit-GEMM tiles it once per column group — the regime the batched
-    /// kernels exist for. (Shapes near the L2 boundary, 64–256 KiB,
-    /// time bimodally on shared vCPUs and make the comparison noisy.)
-    pub const M_STREAMING: usize = 1024;
-    /// See [`M_STREAMING`].
-    pub const D_STREAMING: usize = 8192;
-
-    /// A `B`-query batch over one codebook, packed both ways (separate
-    /// vectors for the per-query baseline, a [`PackedBatch`] for the
-    /// bit-GEMM).
-    pub struct BatchFixture {
-        /// The `M × D` codebook.
-        pub book: Codebook,
-        /// The `B` query vectors.
-        pub queries: Vec<BipolarVector>,
-        /// The same queries packed lane-major.
-        pub batch: PackedBatch,
-    }
-
-    /// Builds a `B`-query batched fixture at `m × d` (`M × D` for the
-    /// cache-resident regime, [`M_STREAMING`] × [`D_STREAMING`] for the
-    /// streaming regime).
-    pub fn batch_fixture(m: usize, d: usize, b: usize) -> BatchFixture {
-        let mut rng = rng_from_seed(2);
-        let book = Codebook::random(m, d, &mut rng);
-        let queries: Vec<BipolarVector> =
-            (0..b).map(|_| BipolarVector::random(d, &mut rng)).collect();
-        let batch = PackedBatch::from_queries(&queries);
-        BatchFixture {
-            book,
-            queries,
-            batch,
-        }
-    }
-
-    /// Per-query baseline at batch shape: `B` sequential packed
-    /// similarity MVMs, each re-streaming the codebook (`out` is
-    /// query-major `B × M`).
-    pub fn similarities_perquery_loop(fx: &BatchFixture, out: &mut [f64]) {
-        let m = fx.book.len();
-        for (b, q) in fx.queries.iter().enumerate() {
-            fx.book
-                .packed()
-                .similarities_into(q, &mut out[b * m..(b + 1) * m]);
-        }
-    }
-
-    /// The batched bit-GEMM over the same queries (`out` query-major
-    /// `B × M`).
-    pub fn similarities_batched(fx: &BatchFixture, out: &mut [f64]) {
-        fx.book.packed().similarities_batch_into(&fx.batch, out);
-    }
-
-    /// The lockstep-vs-sequential engine workload: `n` fresh problems at
-    /// the session shape (`F = 3`, `M = 8`, `D = 256`) plus a stochastic
-    /// engine to solve them with.
-    pub fn lockstep_fixture(
-        n: usize,
-    ) -> (
-        Vec<Codebook>,
-        Vec<resonator::batch::BatchItem>,
-        resonator::StochasticResonator,
-    ) {
-        let spec = hdc::ProblemSpec::new(3, 8, 256);
-        let mut rng = rng_from_seed(3);
-        let books: Vec<Codebook> = (0..spec.factors)
-            .map(|_| Codebook::random(spec.codebook_size, spec.dim, &mut rng))
-            .collect();
-        let (items, _) = resonator::batch::random_batch(&books, n, 4);
-        let engine = resonator::StochasticResonator::paper_default(spec, 500, 9);
-        (books, items, engine)
     }
 }
 

@@ -52,17 +52,12 @@ use std::sync::OnceLock;
 /// (`ones`/`twos`/`fours`/`eights`/`sixteens`), so the hot loop issues
 /// five `count_ones` per block instead of sixteen — a ~3× reduction in
 /// popcount traffic. Rows shorter than one block (`D < 1024`) reduce
-/// through the per-word tail instead, which is why
-/// [`crate::packed::PackedCodebook::batch_uses_csa`] is recorded in bench
-/// provenance.
+/// through the per-word tail instead.
 pub const CSA_BLOCK_WORDS: usize = 16;
 
-/// Row lanes per strip of the batched bit-GEMM: 8 × `u64` = one 512-bit
-/// vector (or two 256-bit halves on AVX2).
+/// Row lanes per strip of the lane-major similarity kernel: 8 × `u64` =
+/// one 512-bit vector (or two 256-bit halves on AVX2).
 pub(crate) const STRIP_LANES: usize = 8;
-
-/// Query columns advanced together by the per-word popcount tile.
-pub(crate) const TILE_COLS: usize = 4;
 
 /// True when the *build target* counts bits in hardware vector units
 /// (AVX-512 `VPOPCNTDQ` enabled at compile time, e.g. by
@@ -140,26 +135,10 @@ impl std::fmt::Display for SimdArm {
     }
 }
 
-/// How an arm reduces the batched similarity bit-GEMM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Reduction {
-    /// One (vector) popcount per strip word — optimal when popcounts are
-    /// single hardware ops.
-    PerWordTile,
-    /// Harley–Seal carry-save tree — optimal when each popcount costs a
-    /// multi-op emulation (or the CSA steps fuse to `vpternlogq`).
-    CsaTree,
-}
-
 /// Signature of the one-query 8-row strip reduction:
 /// `(lane_words, m, w, j0, q) -> counts[8]` where lane `l` reduces
 /// `Σ_i popcount(lane_words[i·m + j0 + l] ^ q[i])`.
 pub type Strip8Fn = fn(&[u64], usize, usize, usize, &[u64]) -> [u64; STRIP_LANES];
-
-/// Signature of the 4-query-column strip tile (each strip load amortized
-/// across the four columns).
-pub type Strip8x4Fn =
-    fn(&[u64], usize, usize, usize, &[&[u64]; TILE_COLS]) -> [[u64; STRIP_LANES]; TILE_COLS];
 
 /// The dispatched kernel entry points of one arm. All function pointers
 /// are plain safe `fn`s (wrappers asserting bounds around the gated
@@ -168,15 +147,11 @@ pub type Strip8x4Fn =
 pub struct KernelTable {
     /// Which arm this table implements.
     pub arm: SimdArm,
-    /// The batched similarity reduction strategy of this arm.
-    pub reduction: Reduction,
     /// Number of disagreeing bit positions between two equal-length
     /// packed rows (the XOR-popcount behind every dot product).
     pub disagreement: fn(&[u64], &[u64]) -> u64,
     /// XOR-popcounts of one 8-row lane-major strip against one query.
     pub strip8: Strip8Fn,
-    /// The 4-query-column per-word popcount tile over one 8-row strip.
-    pub strip8x4: Strip8x4Fn,
     /// Dense projection accumulate: `out[i] += wj · bit_i(words)` for
     /// every unpacked bit, element-wise identical to the scalar
     /// reference (`out.len() ≤ 64·words.len()`; trailing bits ignored).
@@ -187,7 +162,6 @@ impl std::fmt::Debug for KernelTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("KernelTable")
             .field("arm", &self.arm)
-            .field("reduction", &self.reduction)
             .finish()
     }
 }
@@ -292,14 +266,8 @@ fn check_strip(lane_words: &[u64], m: usize, w: usize, j0: usize, q: &[u64]) {
 
 static SCALAR_TABLE: KernelTable = KernelTable {
     arm: SimdArm::Scalar,
-    reduction: if NATIVE_VECTOR_POPCOUNT {
-        Reduction::PerWordTile
-    } else {
-        Reduction::CsaTree
-    },
     disagreement: disagreement_scalar,
     strip8: strip8_scalar,
-    strip8x4: strip8x4_scalar,
     dense_accum: dense_accum_scalar,
 };
 
@@ -333,23 +301,10 @@ fn strip8_scalar(
 ) -> [u64; STRIP_LANES] {
     check_strip(lane_words, m, w, j0, q);
     if NATIVE_VECTOR_POPCOUNT || w < CSA_BLOCK_WORDS {
-        strip_counts_cols::<STRIP_LANES, 1>(lane_words, m, w, j0, &[q])[0]
+        strip_counts_tile::<STRIP_LANES>(lane_words, m, w, j0, q)
     } else {
         strip_counts_csa::<STRIP_LANES>(lane_words, m, w, j0, q)
     }
-}
-
-fn strip8x4_scalar(
-    lane_words: &[u64],
-    m: usize,
-    w: usize,
-    j0: usize,
-    qs: &[&[u64]; TILE_COLS],
-) -> [[u64; STRIP_LANES]; TILE_COLS] {
-    for q in qs {
-        check_strip(lane_words, m, w, j0, q);
-    }
-    strip_counts_cols::<STRIP_LANES, TILE_COLS>(lane_words, m, w, j0, qs)
 }
 
 /// The scalar dense projection accumulate — **byte-for-byte** the loop
@@ -370,32 +325,28 @@ fn dense_accum_scalar(words: &[u64], wj: f64, out: &mut [f64]) {
     }
 }
 
-/// XOR-popcounts of one `L`-row lane-major strip against `C` query
-/// columns with per-word popcounts: the proven auto-vectorizing tile
-/// (one vector load of the strip per word position, shared by all `C`
-/// column accumulators).
+/// XOR-popcounts of one `L`-row lane-major strip against one query with
+/// per-word popcounts: the proven auto-vectorizing tile (one vector load
+/// of the strip per word position).
 #[inline(always)]
-fn strip_counts_cols<const L: usize, const C: usize>(
+fn strip_counts_tile<const L: usize>(
     lane_words: &[u64],
     m: usize,
     w: usize,
     j0: usize,
-    qs: &[&[u64]; C],
-) -> [[u64; L]; C] {
-    let mut counts = [[0u64; L]; C];
-    // Exact-length reslices let the optimizer prove `q[i]` in bounds for
-    // the whole walk (the per-word checks otherwise dominate small-D
+    q: &[u64],
+) -> [u64; L] {
+    let mut counts = [0u64; L];
+    // An exact-length reslice lets the optimizer prove `q[i]` in bounds
+    // for the whole walk (the per-word checks otherwise dominate small-D
     // strips).
-    let qs: [&[u64]; C] = std::array::from_fn(|k| &qs[k][..w]);
-    for i in 0..w {
+    let q = &q[..w];
+    for (i, &qw) in q.iter().enumerate() {
         let lanes: &[u64; L] = lane_words[i * m + j0..][..L]
             .try_into()
             .expect("lane strip underrun");
-        for (col, q) in counts.iter_mut().zip(qs) {
-            let qw = q[i];
-            for (c, &rw) in col.iter_mut().zip(lanes) {
-                *c += (rw ^ qw).count_ones() as u64;
-            }
+        for (c, &rw) in counts.iter_mut().zip(lanes) {
+            *c += (rw ^ qw).count_ones() as u64;
         }
     }
     counts
@@ -493,10 +444,8 @@ fn csa_lanes<const L: usize>(c: [u64; L], a: [u64; L], b: [u64; L]) -> ([u64; L]
 #[cfg(target_arch = "x86_64")]
 static AVX2_TABLE: KernelTable = KernelTable {
     arm: SimdArm::Avx2Csa,
-    reduction: Reduction::CsaTree,
     disagreement: avx2::disagreement,
     strip8: avx2::strip8,
-    strip8x4: avx2::strip8x4,
     dense_accum: avx2::dense_accum,
 };
 
@@ -507,7 +456,7 @@ mod avx2 {
     //! which [`super::table`] hands out after verifying the features at
     //! runtime.
 
-    use super::{check_strip, CSA_BLOCK_WORDS, STRIP_LANES, TILE_COLS};
+    use super::{check_strip, CSA_BLOCK_WORDS, STRIP_LANES};
     use std::arch::x86_64::*;
 
     pub(super) fn disagreement(row: &[u64], query: &[u64]) -> u64 {
@@ -527,18 +476,6 @@ mod avx2 {
         // SAFETY: features verified at table construction; bounds by
         // check_strip.
         unsafe { strip8_impl(lane_words, m, w, j0, q) }
-    }
-
-    pub(super) fn strip8x4(
-        lane_words: &[u64],
-        m: usize,
-        w: usize,
-        j0: usize,
-        qs: &[&[u64]; TILE_COLS],
-    ) -> [[u64; STRIP_LANES]; TILE_COLS] {
-        // The AVX2 arm reduces through the CSA tree per column (no
-        // vector popcount to amortize a shared strip load against).
-        std::array::from_fn(|k| strip8(lane_words, m, w, j0, qs[k]))
     }
 
     pub(super) fn dense_accum(words: &[u64], wj: f64, out: &mut [f64]) {
@@ -697,10 +634,8 @@ mod avx2 {
 #[cfg(target_arch = "x86_64")]
 static AVX512_TABLE: KernelTable = KernelTable {
     arm: SimdArm::Avx512Popcnt,
-    reduction: Reduction::PerWordTile,
     disagreement: avx512::disagreement,
     strip8: avx512::strip8,
-    strip8x4: avx512::strip8x4,
     dense_accum: avx512::dense_accum,
 };
 
@@ -709,7 +644,7 @@ mod avx512 {
     //! Safe wrappers + `#[target_feature(enable = "avx512f,avx512vpopcntdq,popcnt")]`
     //! bodies, published only through [`super::AVX512_TABLE`].
 
-    use super::{check_strip, STRIP_LANES, TILE_COLS};
+    use super::{check_strip, STRIP_LANES};
     use std::arch::x86_64::*;
 
     pub(super) fn disagreement(row: &[u64], query: &[u64]) -> u64 {
@@ -728,21 +663,6 @@ mod avx512 {
         // SAFETY: features verified at table construction; bounds by
         // check_strip.
         unsafe { strip8_impl(lane_words, m, w, j0, q) }
-    }
-
-    pub(super) fn strip8x4(
-        lane_words: &[u64],
-        m: usize,
-        w: usize,
-        j0: usize,
-        qs: &[&[u64]; TILE_COLS],
-    ) -> [[u64; STRIP_LANES]; TILE_COLS] {
-        for q in qs {
-            check_strip(lane_words, m, w, j0, q);
-        }
-        // SAFETY: features verified at table construction; bounds by
-        // check_strip.
-        unsafe { strip8x4_impl(lane_words, m, w, j0, qs) }
     }
 
     pub(super) fn dense_accum(words: &[u64], wj: f64, out: &mut [f64]) {
@@ -795,31 +715,6 @@ mod avx512 {
             acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(x));
         }
         store8(acc)
-    }
-
-    /// Four query columns share every strip load — the cache-blocked
-    /// bit-GEMM tile with explicit vector popcounts.
-    #[target_feature(enable = "avx512f,avx512vpopcntdq,popcnt")]
-    unsafe fn strip8x4_impl(
-        lane_words: &[u64],
-        m: usize,
-        w: usize,
-        j0: usize,
-        qs: &[&[u64]; TILE_COLS],
-    ) -> [[u64; STRIP_LANES]; TILE_COLS] {
-        let mut acc = [_mm512_setzero_si512(); TILE_COLS];
-        for i in 0..w {
-            let lanes = _mm512_loadu_si512(lane_words.as_ptr().add(i * m + j0) as *const __m512i);
-            for (a, q) in acc.iter_mut().zip(qs) {
-                let x = _mm512_xor_si512(lanes, _mm512_set1_epi64(q[i] as i64));
-                *a = _mm512_add_epi64(*a, _mm512_popcnt_epi64(x));
-            }
-        }
-        let mut out = [[0u64; STRIP_LANES]; TILE_COLS];
-        for (o, a) in out.iter_mut().zip(acc) {
-            *o = store8(a);
-        }
-        out
     }
 
     /// Bit-unpack dense projection accumulate on 512-bit lanes: per
@@ -940,30 +835,6 @@ mod tests {
     }
 
     #[test]
-    fn every_arm_strip8x4_matches_naive_popcount() {
-        let mut rng = rng_from_seed(92);
-        for w in [5usize, 16, 21, 37] {
-            let m = 8;
-            let lane_words: Vec<u64> = (0..w * m).map(|_| rng.gen()).collect();
-            let qs_owned: Vec<Vec<u64>> = (0..TILE_COLS)
-                .map(|_| (0..w).map(|_| rng.gen()).collect())
-                .collect();
-            let qs: [&[u64]; TILE_COLS] = std::array::from_fn(|k| qs_owned[k].as_slice());
-            for k in supported_arms() {
-                let counts = (k.strip8x4)(&lane_words, m, w, 0, &qs);
-                for (c, q) in counts.iter().zip(&qs_owned) {
-                    for (l, &cnt) in c.iter().enumerate() {
-                        let naive: u64 = (0..w)
-                            .map(|i| (lane_words[i * m + l] ^ q[i]).count_ones() as u64)
-                            .sum();
-                        assert_eq!(cnt, naive, "{} w={w} lane {l}", k.arm);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn every_arm_dense_accum_matches_scalar_bitwise() {
         // Ragged output lengths (sub-word tails) and negative / fractional
         // weights; accumulators pre-seeded so masked adds must preserve
@@ -1012,22 +883,20 @@ mod tests {
     }
 
     #[test]
-    fn scalar_column_tile_matches_naive_popcount() {
+    fn scalar_word_tile_matches_naive_popcount() {
+        // The portable per-word tile is only dispatched on targets with
+        // native vector popcount (or for rows shorter than one CSA
+        // block) — pin it against the naive reduction on every build.
         let mut rng = rng_from_seed(95);
         let (m, w) = (8usize, 21usize);
         let lane_words: Vec<u64> = (0..w * m).map(|_| rng.gen()).collect();
-        let qs_owned: Vec<Vec<u64>> = (0..4)
-            .map(|_| (0..w).map(|_| rng.gen()).collect())
-            .collect();
-        let qs: [&[u64]; 4] = std::array::from_fn(|k| qs_owned[k].as_slice());
-        let counts = strip_counts_cols::<8, 4>(&lane_words, m, w, 0, &qs);
-        for (k, q) in qs_owned.iter().enumerate() {
-            for l in 0..m {
-                let naive: u64 = (0..w)
-                    .map(|i| (lane_words[i * m + l] ^ q[i]).count_ones() as u64)
-                    .sum();
-                assert_eq!(counts[k][l], naive, "col {k} lane {l}");
-            }
+        let q: Vec<u64> = (0..w).map(|_| rng.gen()).collect();
+        let counts = strip_counts_tile::<8>(&lane_words, m, w, 0, &q);
+        for l in 0..m {
+            let naive: u64 = (0..w)
+                .map(|i| (lane_words[i * m + l] ^ q[i]).count_ones() as u64)
+                .sum();
+            assert_eq!(counts[l], naive, "lane {l}");
         }
     }
 }

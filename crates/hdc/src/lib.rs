@@ -53,6 +53,6 @@ pub use codebook::{CleanupHit, Codebook};
 pub use dispatch::{Detection, SimdArm, CSA_BLOCK_WORDS};
 pub use error::DimensionMismatch;
 pub use ops::{bind_all, bundle, TieBreak};
-pub use packed::{PackedBatch, PackedCodebook};
+pub use packed::PackedCodebook;
 pub use problem::{FactorizationProblem, ProblemSpec};
 pub use sequence::{decode_position, encode_sequence};

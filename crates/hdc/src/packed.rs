@@ -17,11 +17,6 @@
 //!   `out.len() == len()` (`M` dot products).
 //! - [`PackedCodebook::weighted_sums_into`] — `out.len() == dim()` (`D`
 //!   pre-sign projection sums).
-//! - [`PackedCodebook::similarities_batch_into`] /
-//!   [`PackedCodebook::weighted_sums_batch_into`] — the matrix–matrix
-//!   forms over a [`PackedBatch`] of `B` queries, **value-identical** to
-//!   `B` calls of the per-query kernels (exact integers / identical
-//!   floating-point evaluation order per query).
 //!
 //! # Blocking
 //!
@@ -34,23 +29,18 @@
 //! through the dispatched masked accumulate, recovering the signed sum as
 //! `2·(Σ_{set} w) − Σ w` per element.
 //!
-//! The batched similarity MVM is a cache-blocked bit-GEMM: the codebook is
-//! tiled into [`LANE_BLOCK`]-row strips, each strip is streamed once and
-//! reused across all `B` query columns while it is hot in L1, and the
-//! per-(row, query) popcount reduction is supplied by the runtime kernel
-//! table of [`crate::dispatch`] — explicit AVX-512 `vpopcntq` tiles or an
-//! AVX2 Harley–Seal carry-save tree when the host has them, the portable
-//! scalar tile/tree otherwise. Every arm is exact-integer and
-//! bit-identical (see the dispatch module docs for the contract), so the
-//! selection affects latency only. The `*_forced` kernel variants pin a
-//! specific [`SimdArm`] for tests and benches.
+//! Both MVMs reduce through the runtime kernel table of
+//! [`crate::dispatch`] — explicit AVX-512 `vpopcntq` strips or an AVX2
+//! Harley–Seal carry-save tree when the host has them, the portable
+//! scalar kernels otherwise. Every arm is exact-integer and bit-identical
+//! (see the dispatch module docs for the contract), so the selection
+//! affects latency only. The `*_forced` kernel variants pin a specific
+//! [`SimdArm`] for tests and benches.
 
 use serde::{Deserialize, Serialize};
 
 use crate::bipolar::BipolarVector;
-use crate::dispatch::{self, KernelTable, Reduction, SimdArm, STRIP_LANES, TILE_COLS};
-
-pub use crate::dispatch::CSA_BLOCK_WORDS;
+use crate::dispatch::{self, KernelTable, SimdArm, STRIP_LANES};
 
 /// Number of elements packed into one storage word.
 const WORD_BITS: usize = 64;
@@ -58,27 +48,6 @@ const WORD_BITS: usize = 64;
 /// How many codevector rows share one SIMD accumulation block in the
 /// lane-major similarity kernel (one dispatch-table strip).
 const LANE_BLOCK: usize = STRIP_LANES;
-
-/// Words per projection cache block: the dense batched projection tiles
-/// its output in [`PROJ_BLOCK_WORDS`]`·64` elements (16 words → 1024
-/// `f64` slots → 8 KiB) so the output block stays L1-resident across the
-/// whole row sweep instead of re-streaming a `D`-sized accumulator per
-/// row — the projection-side analogue of the similarity bit-GEMM's strip
-/// blocking. Per-element accumulation order (ascending `j`) is unchanged
-/// by the tiling, so outputs stay bit-identical.
-const PROJ_BLOCK_WORDS: usize = 16;
-
-/// Codebook footprint (lane-mirror bytes) above which the batched
-/// similarity kernel switches from single-column to
-/// [`GEMM_COLS`]-column tiles. Measured on the bench host
-/// (`target-cpu=native`, AVX-512): while the codebook is L1/L2-resident
-/// (≤ 64 KiB) the per-query walk is compute-bound and the wider tile's
-/// extra broadcasts cost ~1.3×, but once per-query re-streaming spills
-/// past L2 the four-column tile cuts codebook traffic 4× and measures
-/// 1.8–2.2× faster (M = 256–1024, D = 4096–8192, B = 8). 96 KiB sits
-/// between the last resident shape (64 KiB, parity) and the first
-/// streaming one (128 KiB, 1.8×).
-const GEMM_STREAM_BYTES: usize = 96 * 1024;
 
 /// All `M` codevectors of one codebook in contiguous word buffers, with
 /// allocation-free popcount MVM kernels.
@@ -262,10 +231,8 @@ impl PackedCodebook {
         self.similarities_words_into(query.words(), out, forced_table(arm));
     }
 
-    /// The per-query similarity kernel over raw packed words — shared by
-    /// [`PackedCodebook::similarities_into`] and the batched kernel's
-    /// cache-resident regime so the two can never diverge in value or
-    /// code path.
+    /// The similarity kernel over raw packed words, behind both
+    /// [`PackedCodebook::similarities_into`] and its forced-arm variant.
     fn similarities_words_into(&self, q: &[u64], out: &mut [f64], k: &KernelTable) {
         let d = self.dim as i64;
         let m = self.len;
@@ -359,220 +326,6 @@ impl PackedCodebook {
             *o = 2.0 * *o - total;
         }
     }
-
-    /// True when the batched similarity kernel reduces this codebook
-    /// through a Harley–Seal CSA tree: the **runtime-selected** dispatch
-    /// arm reduces by carry-save tree (scalar arm without native vector
-    /// popcount, or the explicit AVX2 arm — see [`crate::dispatch`]) and
-    /// the rows span at least one [`CSA_BLOCK_WORDS`] block (`D ≥ 1024`).
-    /// On vector-popcount arms, and for shorter rows, the per-word
-    /// popcount tile runs instead. Recorded in bench provenance so
-    /// cross-host numbers are comparable.
-    pub fn batch_uses_csa(&self) -> bool {
-        dispatch::active().reduction == Reduction::CsaTree && self.words_per_row >= CSA_BLOCK_WORDS
-    }
-
-    /// True when this codebook's lane mirror (materialized or not — the
-    /// mirror has exactly the row-major footprint) exceeds the
-    /// cache-residency threshold ([`GEMM_STREAM_BYTES`]), putting the
-    /// batched similarity kernel in its wide-tile streaming regime. The
-    /// codebook registry uses the same predicate to decide which members
-    /// are worth a hot-tier lane mirror at all.
-    pub fn batch_streams_codebook(&self) -> bool {
-        self.words.len() * std::mem::size_of::<u64>() > GEMM_STREAM_BYTES
-    }
-
-    /// Batched similarity MVM `A = Xᵀ Q`: the dot products of every
-    /// codebook row with every query of `batch`, written query-major into
-    /// `out` (`out[b·M + j]` is row `j` against query `b`, an exact
-    /// integer in `[-D, D]`) — **value-identical** to `batch.len()` calls
-    /// of [`PackedCodebook::similarities_into`].
-    ///
-    /// This is the cache-blocked bit-GEMM: the lane-major mirror is tiled
-    /// into [`LANE_BLOCK`]-row strips, each strip streamed once and
-    /// reused across all `B` query columns while hot in L1 (the per-query
-    /// path re-streams the whole codebook per query), and each
-    /// (strip, query) pair reduces through the runtime-dispatched strip
-    /// kernel — vector-popcount tile or Harley–Seal carry-save tree per
-    /// the selected arm (see [`crate::dispatch`]). Rows past the last
-    /// full strip fall back to the per-row path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch.dim() != dim()` or
-    /// `out.len() != batch.len() * len()`.
-    pub fn similarities_batch_into(&self, batch: &PackedBatch, out: &mut [f64]) {
-        self.similarities_batch_into_k(batch, out, dispatch::active());
-    }
-
-    /// [`PackedCodebook::similarities_batch_into`] pinned to one dispatch
-    /// arm (see [`PackedCodebook::similarities_into_forced`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if this host cannot execute `arm`, plus the usual shape
-    /// panics.
-    pub fn similarities_batch_into_forced(
-        &self,
-        batch: &PackedBatch,
-        out: &mut [f64],
-        arm: SimdArm,
-    ) {
-        self.similarities_batch_into_k(batch, out, forced_table(arm));
-    }
-
-    fn similarities_batch_into_k(&self, batch: &PackedBatch, out: &mut [f64], k: &KernelTable) {
-        assert_eq!(batch.dim(), self.dim, "batch dimension mismatch");
-        let m = self.len;
-        let w = self.words_per_row;
-        let bn = batch.len();
-        assert_eq!(out.len(), bn * m, "batch similarity output length mismatch");
-        let d = self.dim as f64;
-        // `out` accumulates exact integer disagreement counts as `f64`
-        // (all partial sums stay far below 2^53) and is finalized to
-        // `D − 2·count` at the end — bit-identical to the per-query
-        // kernel's `(d − 2·c) as f64` since every value is an integer
-        // with one `f64` representation.
-        let use_csa = k.reduction == Reduction::CsaTree && w >= CSA_BLOCK_WORDS;
-        if self.lane_words.is_empty() || (!use_csa && !self.batch_streams_codebook()) {
-            // Cache-resident regime on vector-popcount arms — or a
-            // cold (row-major-only) codebook whose lane mirror the
-            // strip kernels would need: the batch is exactly `B`
-            // per-query passes — same code path as the per-query entry
-            // point, bit-identical by construction.
-            for b in 0..bn {
-                self.similarities_words_into(batch.query_words(b), &mut out[b * m..(b + 1) * m], k);
-            }
-            return;
-        }
-        out.fill(0.0);
-        let mut j = 0;
-        while j + LANE_BLOCK <= m {
-            if use_csa {
-                // CSA-tree arms: one Harley–Seal tree per query column
-                // (five popcounts per block of 16 words instead of
-                // sixteen).
-                for b in 0..bn {
-                    let counts = (k.strip8)(&self.lane_words, m, w, j, batch.query_words(b));
-                    for (l, &c) in counts.iter().enumerate() {
-                        out[b * m + j + l] += c as f64;
-                    }
-                }
-            } else {
-                // Streaming codebooks on vector-popcount arms: advance
-                // TILE_COLS query columns per pass so each strip load —
-                // and the whole codebook pass — amortizes across the
-                // tile.
-                let mut b = 0;
-                while b + TILE_COLS <= bn {
-                    let qs: [&[u64]; TILE_COLS] = std::array::from_fn(|c| batch.query_words(b + c));
-                    let counts = (k.strip8x4)(&self.lane_words, m, w, j, &qs);
-                    for (c, col) in counts.iter().enumerate() {
-                        for (l, &cnt) in col.iter().enumerate() {
-                            out[(b + c) * m + j + l] += cnt as f64;
-                        }
-                    }
-                    b += TILE_COLS;
-                }
-                while b < bn {
-                    let counts = (k.strip8)(&self.lane_words, m, w, j, batch.query_words(b));
-                    for (l, &c) in counts.iter().enumerate() {
-                        out[b * m + j + l] += c as f64;
-                    }
-                    b += 1;
-                }
-            }
-            j += LANE_BLOCK;
-        }
-        // Rows past the last full strip: per-row row-major path.
-        while j < m {
-            let row = self.row(j);
-            for b in 0..bn {
-                out[b * m + j] = (k.disagreement)(row, batch.query_words(b)) as f64;
-            }
-            j += 1;
-        }
-        for o in out.iter_mut() {
-            *o = d - 2.0 * *o;
-        }
-    }
-
-    /// Batched projection MVM: for each query `b`,
-    /// `out[b·D + i] = Σ_j weights[b·M + j] · x_{j,i}` — **bit-identical**
-    /// (same per-element accumulation order) to `B` calls of
-    /// [`PackedCodebook::weighted_sums_into`].
-    ///
-    /// `weights` is query-major `B × M`, `out` query-major `B × D`, with
-    /// `B` inferred from `weights.len() / len()`. This is the
-    /// cache-blocked dispatched bit-GEMM: the output is tiled into
-    /// [`PROJ_BLOCK_WORDS`]-word blocks (8 KiB of `f64` per query) and,
-    /// per block, every active row's word slice feeds the dispatched
-    /// dense-accumulate — so the output block stays L1-resident across
-    /// the whole `M`-row sweep and each row contributes one short
-    /// contiguous load per block instead of a `D`-wide accumulator walk.
-    /// Per-element accumulation order (ascending `j`) is unchanged by the
-    /// tiling, keeping outputs bit-identical to the per-query kernel.
-    /// Nothing is allocated.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weights.len()` is not a positive multiple of `len()` or
-    /// `out.len()` is not the matching multiple of `dim()`.
-    pub fn weighted_sums_batch_into(&self, weights: &[f64], out: &mut [f64]) {
-        self.weighted_sums_batch_into_k(weights, out, dispatch::active());
-    }
-
-    /// [`PackedCodebook::weighted_sums_batch_into`] pinned to one
-    /// dispatch arm (see [`PackedCodebook::similarities_into_forced`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if this host cannot execute `arm`, plus the usual shape
-    /// panics.
-    pub fn weighted_sums_batch_into_forced(&self, weights: &[f64], out: &mut [f64], arm: SimdArm) {
-        self.weighted_sums_batch_into_k(weights, out, forced_table(arm));
-    }
-
-    fn weighted_sums_batch_into_k(&self, weights: &[f64], out: &mut [f64], k: &KernelTable) {
-        let m = self.len;
-        let d = self.dim;
-        assert!(
-            !weights.is_empty() && weights.len().is_multiple_of(m),
-            "batch weight count {} not a positive multiple of rows {m}",
-            weights.len()
-        );
-        let bn = weights.len() / m;
-        assert_eq!(out.len(), bn * d, "batch projection output length mismatch");
-        out.fill(0.0);
-        let w = self.words_per_row;
-        // Dim-blocked dispatched bit-GEMM: block outer so each 8 KiB
-        // output tile is revisited by every row while L1-hot; `j` stays
-        // the innermost *ordering* per element, so each out-element sees
-        // the same addition sequence as the per-query kernel.
-        let mut w0 = 0;
-        while w0 < w {
-            let w1 = (w0 + PROJ_BLOCK_WORDS).min(w);
-            let e0 = w0 * WORD_BITS;
-            let e1 = (w1 * WORD_BITS).min(d);
-            for j in 0..m {
-                let row_blk = &self.row(j)[w0..w1];
-                for b in 0..bn {
-                    let wj = weights[b * m + j];
-                    if wj == 0.0 {
-                        continue;
-                    }
-                    (k.dense_accum)(row_blk, wj, &mut out[b * d + e0..b * d + e1]);
-                }
-            }
-            w0 = w1;
-        }
-        for b in 0..bn {
-            let total: f64 = weights[b * m..(b + 1) * m].iter().sum();
-            for o in out[b * d..(b + 1) * d].iter_mut() {
-                *o = 2.0 * *o - total;
-            }
-        }
-    }
 }
 
 /// Resolves the kernel table of a caller-pinned arm, panicking with a
@@ -581,133 +334,6 @@ impl PackedCodebook {
 fn forced_table(arm: SimdArm) -> &'static KernelTable {
     dispatch::table(arm)
         .unwrap_or_else(|| panic!("dispatch arm `{arm}` is not supported on this host"))
-}
-
-/// `B` packed queries in one contiguous buffer: the right-hand side of
-/// the batched bit-GEMM [`PackedCodebook::similarities_batch_into`].
-///
-/// Storage is query-major (`qwords[b · W + i]` is word `i` of query
-/// `b`): every reduction tile streams one query column's words
-/// sequentially while the *codebook* supplies the lane-major strips, so
-/// a lane-major batch mirror would have no reader — the batch itself is
-/// tiny (`B × W` words) and stays cache-hot in any layout.
-///
-/// The batch is built once with a capacity and refilled allocation-free
-/// ([`PackedBatch::clear`] + [`PackedBatch::push`]) — the lockstep
-/// resonator repacks the active problems' queries every iteration, and
-/// retiring a problem never moves another problem's words within an
-/// iteration.
-///
-/// No `PartialEq`: a refilled batch may carry stale words past `len`,
-/// so derived equality would distinguish logically identical batches.
-#[derive(Debug, Clone)]
-pub struct PackedBatch {
-    capacity: usize,
-    len: usize,
-    dim: usize,
-    words_per_query: usize,
-    qwords: Vec<u64>,
-}
-
-impl PackedBatch {
-    /// An empty batch able to hold `capacity` queries of dimension `dim`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0` or `dim == 0`.
-    pub fn with_capacity(capacity: usize, dim: usize) -> Self {
-        assert!(capacity > 0, "batch capacity must be positive");
-        assert!(dim > 0, "batch dimension must be positive");
-        let words_per_query = dim.div_ceil(WORD_BITS);
-        Self {
-            capacity,
-            len: 0,
-            dim,
-            words_per_query,
-            qwords: vec![0u64; capacity * words_per_query],
-        }
-    }
-
-    /// Packs `queries` into a batch sized exactly to them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `queries` is empty or dimensions disagree.
-    pub fn from_queries(queries: &[BipolarVector]) -> Self {
-        assert!(!queries.is_empty(), "packed batch must be non-empty");
-        let mut batch = Self::with_capacity(queries.len(), queries[0].dim());
-        for q in queries {
-            batch.push(q);
-        }
-        batch
-    }
-
-    /// Appends one query's words into the next column.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch is full or the query dimension differs.
-    #[inline]
-    pub fn push(&mut self, query: &BipolarVector) {
-        assert!(self.len < self.capacity, "packed batch is full");
-        assert_eq!(query.dim(), self.dim, "batch query dimension mismatch");
-        self.qwords[self.len * self.words_per_query..(self.len + 1) * self.words_per_query]
-            .copy_from_slice(query.words());
-        self.len += 1;
-    }
-
-    /// Empties the batch for refill; capacity and dimension are kept.
-    pub fn clear(&mut self) {
-        self.len = 0;
-    }
-
-    /// Queries currently packed.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no query is packed.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Maximum queries the batch can hold.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Query dimension `D`.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Words per packed query (`ceil(D / 64)`).
-    pub fn words_per_query(&self) -> usize {
-        self.words_per_query
-    }
-
-    /// Word `i` of query `b` (padding bits beyond `dim` are zero).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= words_per_query()` or `b` indexes past the
-    /// buffer.
-    #[inline]
-    pub fn word(&self, i: usize, b: usize) -> u64 {
-        assert!(i < self.words_per_query, "word index out of range");
-        self.qwords[b * self.words_per_query + i]
-    }
-
-    /// The contiguous packed words of query `b` (padding bits beyond
-    /// `dim` are zero).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b >= capacity()`.
-    #[inline]
-    pub fn query_words(&self, b: usize) -> &[u64] {
-        &self.qwords[b * self.words_per_query..(b + 1) * self.words_per_query]
-    }
 }
 
 #[cfg(test)]
@@ -786,49 +412,10 @@ mod tests {
     }
 
     #[test]
-    fn batched_similarities_match_per_query_bitwise() {
-        // Shapes straddling every kernel boundary: D < 64, ragged tails,
-        // exactly one CSA block, multi-block, row-tile tails, B = 1.
-        // Shapes straddling every dispatch regime: cache-resident,
-        // streaming (lane mirror > GEMM_STREAM_BYTES), and CSA-eligible
-        // row lengths.
-        for (m, d, b) in [
-            (1, 48, 1),
-            (5, 100, 3),
-            (8, 1024, 4),
-            (13, 1000, 7),
-            (16, 1090, 2),
-            (24, 2048, 5),
-            (512, 2048, 3),
-        ] {
-            let vs = vectors(m, d, 60);
-            let packed = PackedCodebook::from_vectors(&vs);
-            let mut rng = rng_from_seed(61);
-            let queries: Vec<BipolarVector> =
-                (0..b).map(|_| BipolarVector::random(d, &mut rng)).collect();
-            let batch = PackedBatch::from_queries(&queries);
-            let mut batched = vec![0.0f64; b * m];
-            packed.similarities_batch_into(&batch, &mut batched);
-            let mut single = vec![0.0f64; m];
-            for (bi, q) in queries.iter().enumerate() {
-                packed.similarities_into(q, &mut single);
-                for j in 0..m {
-                    assert_eq!(
-                        batched[bi * m + j].to_bits(),
-                        single[j].to_bits(),
-                        "m={m} d={d} b={bi}/{b} row {j}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn row_major_only_kernels_match_full_mirrors_bitwise() {
         // The cold-tier representation must be kernel-for-kernel
-        // value-identical: per-query and batched similarities over the
-        // same shapes as the batched-dispatch test (cache-resident,
-        // CSA-eligible, and streaming regimes included).
+        // value-identical: similarities over shapes with no full strip,
+        // one strip, CSA-eligible rows, and a streaming-sized codebook.
         for (m, d, b) in [(1, 48, 1), (8, 256, 4), (24, 2048, 5), (512, 2048, 3)] {
             let vs = vectors(m, d, 70);
             let full = PackedCodebook::from_vectors(&vs);
@@ -840,7 +427,6 @@ mod tests {
             let mut rng = rng_from_seed(71);
             let queries: Vec<BipolarVector> =
                 (0..b).map(|_| BipolarVector::random(d, &mut rng)).collect();
-            let batch = PackedBatch::from_queries(&queries);
             let (mut a, mut c) = (vec![0.0f64; m], vec![0.0f64; m]);
             for q in &queries {
                 full.similarities_into(q, &mut a);
@@ -848,12 +434,6 @@ mod tests {
                 for j in 0..m {
                     assert_eq!(a[j].to_bits(), c[j].to_bits(), "m={m} d={d} row {j}");
                 }
-            }
-            let (mut ba, mut bc) = (vec![0.0f64; b * m], vec![0.0f64; b * m]);
-            full.similarities_batch_into(&batch, &mut ba);
-            cold.similarities_batch_into(&batch, &mut bc);
-            for (i, (x, y)) in ba.iter().zip(&bc).enumerate() {
-                assert_eq!(x.to_bits(), y.to_bits(), "m={m} d={d} batched slot {i}");
             }
         }
     }
@@ -874,88 +454,13 @@ mod tests {
     }
 
     #[test]
-    fn streaming_threshold_is_mirror_state_independent() {
-        // 512×2048 is decisively past GEMM_STREAM_BYTES; 8×256 decisively
-        // under. The predicate must not change with mirror presence (it
-        // feeds both the kernel dispatch and the registry's hot-tier
-        // policy).
-        for (m, d, expect) in [(512usize, 2048usize, true), (8, 256, false)] {
-            let vs = vectors(m, d, 73);
-            let full = PackedCodebook::from_vectors(&vs);
-            let cold = PackedCodebook::from_vectors_row_major(&vs);
-            assert_eq!(full.batch_streams_codebook(), expect, "m={m} d={d}");
-            assert_eq!(cold.batch_streams_codebook(), expect, "m={m} d={d}");
-        }
-    }
-
-    #[test]
-    fn batched_weighted_sums_match_per_query_bitwise() {
-        // Mixed densities inside one batch: query 0 has one active row,
-        // query 1 all rows active, query 2 all-zero weights.
-        let (m, d) = (24, 523);
-        let vs = vectors(m, d, 62);
-        let packed = PackedCodebook::from_vectors(&vs);
-        let mut weights = vec![0.0f64; 3 * m];
-        weights[5] = 2.5;
-        for j in 0..m {
-            weights[m + j] = (j as f64) - 7.0;
-        }
-        let mut batched = vec![0.0f64; 3 * d];
-        packed.weighted_sums_batch_into(&weights, &mut batched);
-        let mut single = vec![0.0f64; d];
-        for b in 0..3 {
-            packed.weighted_sums_into(&weights[b * m..(b + 1) * m], &mut single);
-            for i in 0..d {
-                assert_eq!(
-                    batched[b * d + i].to_bits(),
-                    single[i].to_bits(),
-                    "query {b} element {i}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn packed_batch_refills_without_moving_lanes() {
-        let mut rng = rng_from_seed(63);
-        let qs: Vec<BipolarVector> = (0..4)
-            .map(|_| BipolarVector::random(130, &mut rng))
-            .collect();
-        let mut batch = PackedBatch::with_capacity(4, 130);
-        batch.push(&qs[0]);
-        batch.push(&qs[1]);
-        assert_eq!(batch.len(), 2);
-        batch.clear();
-        assert!(batch.is_empty());
-        batch.push(&qs[2]);
-        batch.push(&qs[3]);
-        for (i, &w) in qs[2].words().iter().enumerate() {
-            assert_eq!(batch.word(i, 0), w);
-        }
-        for (i, &w) in qs[3].words().iter().enumerate() {
-            assert_eq!(batch.word(i, 1), w);
-        }
-        assert_eq!(batch.capacity(), 4);
-        assert_eq!(batch.words_per_query(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "full")]
-    fn batch_overflow_rejected() {
-        let mut batch = PackedBatch::with_capacity(1, 64);
-        let q = BipolarVector::ones(64);
-        batch.push(&q);
-        batch.push(&q);
-    }
-
-    #[test]
     fn forced_arms_match_scalar_bitwise_across_kernels() {
         // Every host-supported dispatch arm must reproduce the scalar
-        // arm bit-for-bit on all four public kernels, over shapes
-        // straddling every regime boundary (D < 64, ragged tails, CSA
-        // blocks, streaming, B = 1). The per-strip kernels themselves
-        // are pinned against the naive reference in `dispatch::tests`;
-        // this covers the full kernel plumbing per arm.
+        // arm bit-for-bit on both forced kernels, over shapes straddling
+        // every boundary (D < 64, ragged tails, partial strips, CSA
+        // blocks, a streaming-sized codebook). The per-strip kernels
+        // themselves are pinned against the naive reference in
+        // `dispatch::tests`; this covers the full kernel plumbing per arm.
         for (m, d, b) in [
             (1, 48, 1),
             (5, 100, 3),
@@ -966,50 +471,31 @@ mod tests {
             let vs = vectors(m, d, 80);
             let packed = PackedCodebook::from_vectors(&vs);
             let mut rng = rng_from_seed(81);
-            let queries: Vec<BipolarVector> =
-                (0..b).map(|_| BipolarVector::random(d, &mut rng)).collect();
-            let batch = PackedBatch::from_queries(&queries);
-            let mut weights = vec![0.0f64; b * m];
-            for (i, w) in weights.iter_mut().enumerate() {
-                *w = ((i % 7) as f64) - 3.0;
-            }
-            let mut sim_ref = vec![0.0f64; b * m];
-            packed.similarities_batch_into_forced(&batch, &mut sim_ref, SimdArm::Scalar);
-            let mut proj_ref = vec![0.0f64; b * d];
-            packed.weighted_sums_batch_into_forced(&weights, &mut proj_ref, SimdArm::Scalar);
-            for arm in SimdArm::ALL {
-                if !arm.supported() {
-                    continue;
-                }
-                let mut sim = vec![0.0f64; b * m];
-                packed.similarities_batch_into_forced(&batch, &mut sim, arm);
-                for (i, (x, y)) in sim.iter().zip(&sim_ref).enumerate() {
-                    assert_eq!(x.to_bits(), y.to_bits(), "{arm} sim m={m} d={d} slot {i}");
-                }
-                let mut single = vec![0.0f64; m];
-                for (bi, q) in queries.iter().enumerate() {
-                    packed.similarities_into_forced(q, &mut single, arm);
-                    for j in 0..m {
+            for bi in 0..b {
+                let q = BipolarVector::random(d, &mut rng);
+                let weights: Vec<f64> = (0..m).map(|j| (((bi + j) % 7) as f64) - 3.0).collect();
+                let (mut sim_ref, mut proj_ref) = (vec![0.0f64; m], vec![0.0f64; d]);
+                packed.similarities_into_forced(&q, &mut sim_ref, SimdArm::Scalar);
+                packed.weighted_sums_into_forced(&weights, &mut proj_ref, SimdArm::Scalar);
+                for arm in SimdArm::ALL {
+                    if !arm.supported() {
+                        continue;
+                    }
+                    let (mut sim, mut proj) = (vec![0.0f64; m], vec![0.0f64; d]);
+                    packed.similarities_into_forced(&q, &mut sim, arm);
+                    packed.weighted_sums_into_forced(&weights, &mut proj, arm);
+                    for (j, (x, y)) in sim.iter().zip(&sim_ref).enumerate() {
                         assert_eq!(
-                            single[j].to_bits(),
-                            sim_ref[bi * m + j].to_bits(),
-                            "{arm} per-query m={m} d={d} b={bi} row {j}"
+                            x.to_bits(),
+                            y.to_bits(),
+                            "{arm} sim m={m} d={d} q={bi} row {j}"
                         );
                     }
-                }
-                let mut proj = vec![0.0f64; b * d];
-                packed.weighted_sums_batch_into_forced(&weights, &mut proj, arm);
-                for (i, (x, y)) in proj.iter().zip(&proj_ref).enumerate() {
-                    assert_eq!(x.to_bits(), y.to_bits(), "{arm} proj m={m} d={d} slot {i}");
-                }
-                let mut ps = vec![0.0f64; d];
-                for bi in 0..b {
-                    packed.weighted_sums_into_forced(&weights[bi * m..(bi + 1) * m], &mut ps, arm);
-                    for i in 0..d {
+                    for (i, (x, y)) in proj.iter().zip(&proj_ref).enumerate() {
                         assert_eq!(
-                            ps[i].to_bits(),
-                            proj_ref[bi * d + i].to_bits(),
-                            "{arm} per-query proj b={bi} elt {i}"
+                            x.to_bits(),
+                            y.to_bits(),
+                            "{arm} proj m={m} d={d} q={bi} elt {i}"
                         );
                     }
                 }

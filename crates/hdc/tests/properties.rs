@@ -267,78 +267,6 @@ proptest! {
     }
 
     #[test]
-    fn batched_similarities_are_bit_identical_to_per_query(
-        m in prop_oneof![1usize..=3, 7usize..=9, 15usize..=17, Just(33)],
-        dim in prop_oneof![1usize..=4, 60usize..=68, 1000usize..=1030, Just(1024), Just(2048)],
-        b in prop_oneof![Just(1usize), 2usize..=5, Just(8), Just(17)],
-        seed in 0u64..500,
-    ) {
-        // The batched bit-GEMM must agree with the per-query packed
-        // kernel bit for bit over every ragged shape: D < 64,
-        // non-multiple-of-64 tails, partial row strips, B = 1, and
-        // B = 17 (a ragged column-tile tail).
-        let mut rng = rng_from_seed(seed);
-        let book = Codebook::random(m, dim, &mut rng);
-        let queries: Vec<BipolarVector> =
-            (0..b).map(|_| BipolarVector::random(dim, &mut rng)).collect();
-        let batch = hdc::PackedBatch::from_queries(&queries);
-        let mut batched = vec![0.0f64; b * m];
-        book.packed().similarities_batch_into(&batch, &mut batched);
-        let mut single = vec![0.0f64; m];
-        for (bi, q) in queries.iter().enumerate() {
-            book.packed().similarities_into(q, &mut single);
-            for j in 0..m {
-                prop_assert_eq!(
-                    batched[bi * m + j].to_bits(),
-                    single[j].to_bits(),
-                    "m {} dim {} query {} row {}",
-                    m, dim, bi, j
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn batched_weighted_sums_are_bit_identical_to_per_query(
-        m in prop_oneof![1usize..=3, 8usize..=10, Just(24)],
-        dim in prop_oneof![1usize..=4, 62usize..=66, 120usize..=130],
-        b in prop_oneof![Just(1usize), 2usize..=4, Just(17)],
-        seed in 0u64..500,
-    ) {
-        // Batched projection must match per-query projection bit for bit
-        // with mixed regimes inside one batch: per query, weights are
-        // drawn all-zero, sparse (one active row), or dense.
-        let mut rng = rng_from_seed(seed);
-        let book = Codebook::random(m, dim, &mut rng);
-        let mut weights = vec![0.0f64; b * m];
-        for (bi, chunk) in weights.chunks_mut(m).enumerate() {
-            match bi % 3 {
-                0 => {}
-                1 => chunk[bi % m] = 1.5 - (bi % 4) as f64,
-                _ => {
-                    for (j, w) in chunk.iter_mut().enumerate() {
-                        *w = (j as f64) - (m as f64) / 2.0;
-                    }
-                }
-            }
-        }
-        let mut batched = vec![0.0f64; b * dim];
-        book.packed().weighted_sums_batch_into(&weights, &mut batched);
-        let mut single = vec![0.0f64; dim];
-        for bi in 0..b {
-            book.packed().weighted_sums_into(&weights[bi * m..(bi + 1) * m], &mut single);
-            for i in 0..dim {
-                prop_assert_eq!(
-                    batched[bi * dim + i].to_bits(),
-                    single[i].to_bits(),
-                    "m {} dim {} query {} element {}",
-                    m, dim, bi, i
-                );
-            }
-        }
-    }
-
-    #[test]
     fn every_dispatch_arm_is_bit_identical_to_naive_reference(
         m in prop_oneof![1usize..=3, 7usize..=9, Just(16), Just(33)],
         dim in prop_oneof![1usize..=4, 60usize..=68, 1000usize..=1030, Just(1024), Just(2048)],
@@ -347,27 +275,27 @@ proptest! {
     ) {
         // The runtime-dispatch contract: every arm this host can execute
         // (forced scalar / AVX2 CSA / AVX-512 vector-popcount) must
-        // reproduce the naive i64 dot loop exactly, and match the other
-        // arms bit for bit, over ragged shapes — D < 64, non-word tails,
-        // partial strips, B = 1 and B = 17. Unsupported arms are skipped
-        // (their identity is CI-enforced on hosts that have them).
+        // reproduce the naive i64 dot loop exactly, and match the scalar
+        // arm's projection bit for bit, over ragged shapes — D < 64,
+        // non-word tails, partial strips — for `b` queries per case.
+        // Unsupported arms are skipped (their identity is CI-enforced on
+        // hosts that have them).
         let mut rng = rng_from_seed(seed);
         let book = Codebook::random(m, dim, &mut rng);
         let queries: Vec<BipolarVector> =
             (0..b).map(|_| BipolarVector::random(dim, &mut rng)).collect();
-        let batch = hdc::PackedBatch::from_queries(&queries);
-        let mut weights = vec![0.0f64; b * m];
-        for (i, w) in weights.iter_mut().enumerate() {
-            *w = ((i % 5) as f64) - 2.0;
-        }
-        for arm in hdc::SimdArm::ALL {
-            if !arm.supported() {
-                continue;
-            }
-            let mut sims = vec![0.0f64; b * m];
-            book.packed().similarities_batch_into_forced(&batch, &mut sims, arm);
-            for (bi, q) in queries.iter().enumerate() {
-                for j in 0..m {
+        for (bi, q) in queries.iter().enumerate() {
+            let weights: Vec<f64> = (0..m).map(|j| (((bi * m + j) % 5) as f64) - 2.0).collect();
+            let mut proj_scalar = vec![0.0f64; dim];
+            book.packed()
+                .weighted_sums_into_forced(&weights, &mut proj_scalar, hdc::SimdArm::Scalar);
+            for arm in hdc::SimdArm::ALL {
+                if !arm.supported() {
+                    continue;
+                }
+                let mut sims = vec![0.0f64; m];
+                book.packed().similarities_into_forced(q, &mut sims, arm);
+                for (j, &sim) in sims.iter().enumerate() {
                     let naive: i64 = book
                         .vector(j)
                         .to_signs()
@@ -376,28 +304,22 @@ proptest! {
                         .map(|(&x, y)| (x as i64) * (y as i64))
                         .sum();
                     prop_assert_eq!(
-                        sims[bi * m + j],
+                        sim,
                         naive as f64,
                         "arm {} m {} dim {} query {} row {}",
                         arm, m, dim, bi, j
                     );
                 }
-            }
-            let mut proj = vec![0.0f64; b * dim];
-            book.packed().weighted_sums_batch_into_forced(&weights, &mut proj, arm);
-            let mut proj_scalar = vec![0.0f64; b * dim];
-            book.packed().weighted_sums_batch_into_forced(
-                &weights,
-                &mut proj_scalar,
-                hdc::SimdArm::Scalar,
-            );
-            for (i, (x, y)) in proj.iter().zip(&proj_scalar).enumerate() {
-                prop_assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "arm {} proj m {} dim {} slot {}",
-                    arm, m, dim, i
-                );
+                let mut proj = vec![0.0f64; dim];
+                book.packed().weighted_sums_into_forced(&weights, &mut proj, arm);
+                for (i, (x, y)) in proj.iter().zip(&proj_scalar).enumerate() {
+                    prop_assert_eq!(
+                        x.to_bits(),
+                        y.to_bits(),
+                        "arm {} proj m {} dim {} query {} element {}",
+                        arm, m, dim, bi, i
+                    );
+                }
             }
         }
     }

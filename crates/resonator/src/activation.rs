@@ -12,8 +12,8 @@
 //! # The fused noisy ADC kernel
 //!
 //! [`Activation::apply_noisy`] is the one implementation of the software
-//! kernels' noise → rectify → activation sequence, shared by
-//! [`crate::software::SoftwareKernels`] and the lockstep stepper. For the
+//! kernels' noise → rectify → activation sequence
+//! ([`crate::software::SoftwareKernels`]). For the
 //! stochastic model (Gaussian noise, rectification, quantized activation)
 //! only the ADC code each noisy similarity rounds to reaches the output,
 //! so the kernel evaluates the noise with the vectorized

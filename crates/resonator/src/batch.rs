@@ -2,12 +2,13 @@
 //!
 //! H3DFact's SRAM-buffered schedule exists to make batches efficient
 //! (Sec. IV-A, batch size 100): the codebooks are programmed once and a
-//! stream of queries shares them. This module provides the engine-agnostic
-//! batch runner used by throughput studies and the perception pipeline.
+//! stream of queries shares them. This module holds the batch vocabulary
+//! every engine's batch path speaks ([`BatchItem`], [`BatchOutcome`]) and
+//! the standard random-problem batch ([`random_batch`]).
 
 use serde::{Deserialize, Serialize};
 
-use crate::engine::{FactorizationOutcome, Factorizer};
+use crate::engine::FactorizationOutcome;
 use crate::metrics::IterationStats;
 use hdc::{BipolarVector, Codebook};
 
@@ -69,25 +70,6 @@ impl BatchOutcome {
     }
 }
 
-/// Runs every item through `engine` against the shared `codebooks`.
-///
-/// # Panics
-///
-/// Panics if `items` is empty or shapes disagree (propagated from the
-/// engine).
-pub fn run_batch<E: Factorizer + ?Sized>(
-    engine: &mut E,
-    codebooks: &[Codebook],
-    items: &[BatchItem],
-) -> BatchOutcome {
-    assert!(!items.is_empty(), "batch must be non-empty");
-    let outcomes: Vec<FactorizationOutcome> = items
-        .iter()
-        .map(|item| engine.factorize_query(codebooks, &item.query, item.truth.as_deref()))
-        .collect();
-    BatchOutcome::from_outcomes(outcomes)
-}
-
 /// Builds a batch of `n` fresh random problems over shared codebooks
 /// (the standard throughput workload).
 pub fn random_batch(
@@ -114,6 +96,7 @@ pub fn random_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Factorizer;
     use crate::software::StochasticResonator;
     use hdc::rng::rng_from_seed;
     use hdc::ProblemSpec;
@@ -127,7 +110,12 @@ mod tests {
         assert_eq!(items.len(), 10);
         assert_eq!(truths.len(), 10);
         let mut engine = StochasticResonator::paper_default(spec, 500, 1);
-        let out = run_batch(&mut engine, &books, &items);
+        let out = BatchOutcome::from_outcomes(
+            items
+                .iter()
+                .map(|i| engine.factorize_query(&books, &i.query, i.truth.as_deref()))
+                .collect(),
+        );
         assert_eq!(out.len(), 10);
         assert!(out.accuracy() >= 0.9, "batch accuracy {}", out.accuracy());
         assert!(out.total_iterations() > 0);

@@ -48,18 +48,16 @@ pub mod batch;
 pub mod capacity;
 pub mod convergence;
 pub mod engine;
-pub mod lockstep;
 pub mod metrics;
 pub mod software;
 pub mod superposed;
 
 pub use activation::Activation;
-pub use batch::{run_batch, BatchItem, BatchOutcome};
+pub use batch::{BatchItem, BatchOutcome};
 pub use capacity::{measure_cell, CapacityCell, SweepConfig};
 pub use convergence::{CycleDetector, CycleInfo};
 pub use engine::{
     DegeneratePolicy, FactorizationOutcome, Factorizer, LoopConfig, ResonatorKernels, ResonatorLoop,
 };
-pub use lockstep::{BatchedResonator, LockstepProblem};
 pub use software::{BaselineResonator, SoftwareKernels, SoftwareRunSummary, StochasticResonator};
 pub use superposed::{explain_away, ExplainAwayConfig, SuperposedOutcome};

@@ -15,14 +15,12 @@ use crate::activation::Activation;
 use crate::engine::{
     FactorizationOutcome, Factorizer, LoopConfig, ResonatorKernels, ResonatorLoop,
 };
-use crate::lockstep::{BatchedResonator, LockstepProblem};
 use hdc::rng::{derive_seed, rng_from_seed};
 use hdc::{BipolarVector, Codebook, ProblemSpec};
 
 /// Stream namespace separating the stochastic engine's loop seed from its
 /// kernel seed (the historical constant of
-/// [`StochasticResonator::factorize_query`], shared with the lockstep
-/// path so both derive identical streams).
+/// [`StochasticResonator::factorize_query`]).
 const STOCHASTIC_LOOP_NS: u64 = 0xD15C;
 
 /// Software kernels over borrowed codebooks.
@@ -156,9 +154,7 @@ pub struct SoftwareRunSummary {
 
 impl SoftwareRunSummary {
     /// The single definition of how a run outcome condenses into the
-    /// summary — shared by the sequential engines' `last_run_summary`
-    /// bookkeeping and the facade's lockstep per-item reports, so the
-    /// two can never diverge.
+    /// summary (the engines' `last_run_summary` bookkeeping).
     pub fn of(outcome: &FactorizationOutcome) -> Self {
         Self {
             iterations: outcome.iterations,
@@ -215,39 +211,6 @@ impl BaselineResonator {
     /// each item the cursor it would have had sequentially).
     pub fn set_run_cursor(&mut self, cursor: u64) {
         self.runs = cursor;
-    }
-
-    /// Solves `queries` as one lockstep batch
-    /// ([`crate::lockstep::BatchedResonator`]): item `i` runs at cursor
-    /// `run_cursor() + i`, the cursor advances past the batch, and every
-    /// outcome is **bit-identical** (up to wall-clock phase times) to the
-    /// equivalent sequential [`Factorizer::factorize_query`] call stream.
-    pub fn factorize_lockstep(
-        &mut self,
-        codebooks: &[Codebook],
-        queries: &[(&BipolarVector, Option<&[usize]>)],
-    ) -> Vec<FactorizationOutcome> {
-        if queries.is_empty() {
-            return Vec::new();
-        }
-        let problems: Vec<LockstepProblem<'_>> = queries
-            .iter()
-            .enumerate()
-            .map(|(i, &(query, truth))| {
-                let run_seed = derive_seed(self.seed, self.runs + i as u64);
-                LockstepProblem {
-                    query,
-                    truth,
-                    kernel_seed: run_seed,
-                    loop_seed: run_seed,
-                }
-            })
-            .collect();
-        self.runs += queries.len() as u64;
-        let outcomes = BatchedResonator::new(self.config, 0.0, false, Activation::Identity)
-            .run(codebooks, &problems);
-        self.last_run = outcomes.last().map(SoftwareRunSummary::of);
-        outcomes
     }
 }
 
@@ -371,41 +334,6 @@ impl StochasticResonator {
     /// each item the cursor it would have had sequentially).
     pub fn set_run_cursor(&mut self, cursor: u64) {
         self.runs = cursor;
-    }
-
-    /// Solves `queries` as one lockstep batch
-    /// ([`crate::lockstep::BatchedResonator`]): item `i` runs at cursor
-    /// `run_cursor() + i` with exactly the kernel-noise and loop seed
-    /// streams of the equivalent sequential
-    /// [`Factorizer::factorize_query`] calls, so every outcome is
-    /// **bit-identical** (up to wall-clock phase times) to the sequential
-    /// call stream.
-    pub fn factorize_lockstep(
-        &mut self,
-        codebooks: &[Codebook],
-        queries: &[(&BipolarVector, Option<&[usize]>)],
-    ) -> Vec<FactorizationOutcome> {
-        if queries.is_empty() {
-            return Vec::new();
-        }
-        let problems: Vec<LockstepProblem<'_>> = queries
-            .iter()
-            .enumerate()
-            .map(|(i, &(query, truth))| {
-                let run_seed = derive_seed(self.seed, self.runs + i as u64);
-                LockstepProblem {
-                    query,
-                    truth,
-                    kernel_seed: run_seed,
-                    loop_seed: derive_seed(run_seed, STOCHASTIC_LOOP_NS),
-                }
-            })
-            .collect();
-        self.runs += queries.len() as u64;
-        let outcomes = BatchedResonator::new(self.config, self.noise_sigma, true, self.activation)
-            .run(codebooks, &problems);
-        self.last_run = outcomes.last().map(SoftwareRunSummary::of);
-        outcomes
     }
 }
 

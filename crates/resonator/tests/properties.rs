@@ -104,99 +104,4 @@ proptest! {
         let out = BaselineResonator::new(100, seed).factorize(&p);
         prop_assert_eq!(out.degenerate_events, 0);
     }
-
-    #[test]
-    fn lockstep_batch_is_bit_identical_to_sequential_engine(
-        spec in arb_spec(),
-        n in 1usize..=6,
-        budget in prop_oneof![Just(40usize), Just(300)],
-        seed in 0u64..200,
-    ) {
-        // A lockstep batch must reproduce, per problem, exactly what the
-        // sequential engine produces for the same run cursors — including
-        // batches where easy problems retire mid-flight (the small budget
-        // forces a mix of solved, cycling, and budget-exhausted slots)
-        // and for both the deterministic baseline (cycle-abort,
-        // fixed-point retirement) and the stochastic engine (noise
-        // streams, degenerate re-draws).
-        let mut rng = rng_from_seed(seed);
-        let books: Vec<_> = (0..spec.factors)
-            .map(|_| hdc::Codebook::random(spec.codebook_size, spec.dim, &mut rng))
-            .collect();
-        let problems: Vec<FactorizationProblem> = (0..n)
-            .map(|_| FactorizationProblem::with_codebooks(&books, &mut rng))
-            .collect();
-        let queries: Vec<(&hdc::BipolarVector, Option<&[usize]>)> = problems
-            .iter()
-            .map(|p| (p.product(), Some(p.true_indices())))
-            .collect();
-
-        let strip = |mut o: resonator::FactorizationOutcome| {
-            o.times = Default::default();
-            o
-        };
-
-        // Baseline engine.
-        let mut seq = BaselineResonator::new(budget, seed);
-        let expected: Vec<_> = problems
-            .iter()
-            .map(|p| strip(seq.factorize_query(&books, p.product(), Some(p.true_indices()))))
-            .collect();
-        let mut locked = BaselineResonator::new(budget, seed);
-        let got = locked.factorize_lockstep(&books, &queries);
-        prop_assert_eq!(seq.run_cursor(), locked.run_cursor());
-        for (i, (g, e)) in got.into_iter().zip(&expected).enumerate() {
-            prop_assert_eq!(strip(g), e.clone(), "baseline problem {} diverged", i);
-        }
-
-        // Stochastic engine (per-problem noise + loop RNG streams).
-        let mut seq = StochasticResonator::paper_default(spec, budget, seed);
-        let expected: Vec<_> = problems
-            .iter()
-            .map(|p| strip(seq.factorize_query(&books, p.product(), Some(p.true_indices()))))
-            .collect();
-        let mut locked = StochasticResonator::paper_default(spec, budget, seed);
-        let got = locked.factorize_lockstep(&books, &queries);
-        prop_assert_eq!(seq.run_cursor(), locked.run_cursor());
-        for (i, (g, e)) in got.into_iter().zip(&expected).enumerate() {
-            prop_assert_eq!(strip(g), e.clone(), "stochastic problem {} diverged", i);
-        }
-    }
-
-    #[test]
-    fn lockstep_retirement_is_independent_per_slot(seed in 0u64..60) {
-        // Mid-batch retirement: pair one trivially easy problem (solves
-        // in a few iterations) with hard over-capacity ones that run the
-        // whole budget. Retiring the easy slot must not perturb the hard
-        // slots' trajectories relative to their solo runs.
-        let easy_spec = ProblemSpec::new(2, 3, 256);
-        let mut rng = rng_from_seed(seed);
-        let books: Vec<_> = (0..easy_spec.factors)
-            .map(|_| hdc::Codebook::random(easy_spec.codebook_size, easy_spec.dim, &mut rng))
-            .collect();
-        let problems: Vec<FactorizationProblem> = (0..4)
-            .map(|_| FactorizationProblem::with_codebooks(&books, &mut rng))
-            .collect();
-        let queries: Vec<(&hdc::BipolarVector, Option<&[usize]>)> = problems
-            .iter()
-            .map(|p| (p.product(), Some(p.true_indices())))
-            .collect();
-        let mut seq = StochasticResonator::paper_default(easy_spec, 150, seed);
-        let expected: Vec<_> = problems
-            .iter()
-            .map(|p| seq.factorize_query(&books, p.product(), Some(p.true_indices())))
-            .collect();
-        let mut locked = StochasticResonator::paper_default(easy_spec, 150, seed);
-        let got = locked.factorize_lockstep(&books, &queries);
-        // The batch mixes retirement times (easy shapes solve at
-        // different iterations under different noise streams).
-        for (g, e) in got.iter().zip(&expected) {
-            prop_assert_eq!(g.solved, e.solved);
-            prop_assert_eq!(g.iterations, e.iterations);
-            prop_assert_eq!(g.solved_at, e.solved_at);
-            prop_assert_eq!(&g.decoded, &e.decoded);
-            prop_assert_eq!(g.revisits, e.revisits);
-            prop_assert_eq!(g.degenerate_events, e.degenerate_events);
-        }
-    }
 }

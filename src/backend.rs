@@ -10,6 +10,11 @@
 //! reporting ([`Backend::last_run_stats`] returning a common
 //! [`RunReport`]).
 //!
+//! The one native batch schedule is H3DFact's SRAM-buffered one
+//! (Sec. IV-A): `H3dFact` overrides `factorize_batch` and
+//! `fold_batch_reports`. Every other engine batches item by item, at
+//! consecutive run cursors.
+//!
 //! Code rarely calls a `Backend` directly: `Session` drives one per
 //! configured [`BackendKind`](crate::session::BackendKind), and the
 //! [`Workload`](crate::workload::Workload) layer routes whole experiments
@@ -33,9 +38,9 @@
 
 use cim::energy::EnergyLedger;
 use h3dfact_core::{H3dFact, Hybrid2dEngine, PcmEngine, RunStats, Sram2dEngine};
-use hdc::{BipolarVector, Codebook};
-use resonator::batch::{run_batch, BatchItem, BatchOutcome};
-use resonator::engine::{FactorizationOutcome, Factorizer};
+use hdc::Codebook;
+use resonator::batch::{BatchItem, BatchOutcome};
+use resonator::engine::Factorizer;
 use resonator::{BaselineResonator, SoftwareRunSummary, StochasticResonator};
 
 /// What a backend models and how it can be driven.
@@ -204,42 +209,6 @@ impl RunTotals {
     }
 }
 
-/// One reference-borrowed query of a lockstep batch: what
-/// [`Backend::factorize_lockstep`] solves per item.
-pub type LockstepQuery<'a> = (&'a BipolarVector, Option<&'a [usize]>);
-
-/// One lockstep-solved item: the outcome plus the per-run report the
-/// engine would have produced for the same item via `factorize_query` —
-/// bit-identical to the sequential call stream, so executors can fold
-/// costs from lockstep batches exactly as they fold per-item solves.
-#[derive(Debug, Clone)]
-pub struct LockstepSolve {
-    /// The item's factorization outcome.
-    pub outcome: FactorizationOutcome,
-    /// The engine's per-run report for the item, when the engine
-    /// produces one.
-    pub report: Option<RunReport>,
-}
-
-/// Builds the per-item [`LockstepSolve`]s a software engine's lockstep
-/// batch implies: each report is exactly what `last_run_stats` would have
-/// returned right after the item's sequential solve.
-fn software_lockstep_solves(
-    backend: &'static str,
-    outcomes: Vec<FactorizationOutcome>,
-) -> Vec<LockstepSolve> {
-    outcomes
-        .into_iter()
-        .map(|outcome| LockstepSolve {
-            report: Some(RunReport::from_software(
-                backend,
-                SoftwareRunSummary::of(&outcome),
-            )),
-            outcome,
-        })
-        .collect()
-}
-
 /// The unified, object-safe interface over every factorization engine.
 ///
 /// Extends [`Factorizer`] (so `factorize` and `factorize_query` are
@@ -269,57 +238,23 @@ pub trait Backend: Factorizer + Send {
     /// each batch item the cursor it would have had sequentially.
     fn seek_run(&mut self, cursor: u64);
 
-    /// Solves `queries` as one lockstep batch when the engine has a
-    /// batched stepper: item `i` is solved at run cursor
-    /// `run_cursor() + i`, the cursor advances past the batch, and
-    /// outcomes and reports are **bit-identical** (up to wall-clock
-    /// phase times) to the equivalent sequential `factorize_query` call
-    /// stream. Returns `None` (the default) when the engine has no
-    /// lockstep path — the simulated hardware engines, whose kernels
-    /// carry per-run device state — in which case callers fall back to
-    /// per-item solving.
-    fn factorize_lockstep(
-        &mut self,
-        codebooks: &[Codebook],
-        queries: &[LockstepQuery<'_>],
-    ) -> Option<Vec<LockstepSolve>> {
-        let _ = (codebooks, queries);
-        None
-    }
-
     /// Factorizes every item against shared codebooks.
     ///
-    /// The default implementation routes through the engine's lockstep
-    /// batch path when it has one (bitwise identical to per-item calls,
-    /// but matrix–matrix in the kernels), chunked at the executor's
-    /// lockstep bound so batch scratch stays `O(chunk)` however large the
-    /// item set is; engines without a stepper solve sequentially, and
-    /// backends with a native batch schedule override the whole method to
-    /// amortize hardware cost.
+    /// The default implementation solves the items one by one at
+    /// consecutive run cursors; backends with a native batch schedule
+    /// override it to amortize hardware cost.
     ///
     /// # Panics
     ///
     /// Panics if `items` is empty or shapes disagree.
     fn factorize_batch(&mut self, codebooks: &[Codebook], items: &[BatchItem]) -> BatchOutcome {
         assert!(!items.is_empty(), "batch must be non-empty");
-        let mut outcomes = Vec::with_capacity(items.len());
-        for chunk in items.chunks(crate::executor::LOCKSTEP_CHUNK) {
-            let queries: Vec<LockstepQuery<'_>> = chunk
+        BatchOutcome::from_outcomes(
+            items
                 .iter()
-                .map(|item| (&item.query, item.truth.as_deref()))
-                .collect();
-            match self.factorize_lockstep(codebooks, &queries) {
-                Some(solves) => outcomes.extend(solves.into_iter().map(|s| s.outcome)),
-                None => {
-                    // No stepper: the cursor is exactly where the solved
-                    // prefix left it, so the remainder runs per-item.
-                    let rest = run_batch(self, codebooks, &items[outcomes.len()..]);
-                    outcomes.extend(rest.outcomes);
-                    break;
-                }
-            }
-        }
-        BatchOutcome::from_outcomes(outcomes)
+                .map(|item| self.factorize_query(codebooks, &item.query, item.truth.as_deref()))
+                .collect(),
+        )
     }
 
     /// Folds per-item run reports — produced by an executor that solved a
@@ -475,15 +410,6 @@ impl Backend for BaselineResonator {
     fn seek_run(&mut self, cursor: u64) {
         BaselineResonator::set_run_cursor(self, cursor);
     }
-
-    fn factorize_lockstep(
-        &mut self,
-        codebooks: &[Codebook],
-        queries: &[LockstepQuery<'_>],
-    ) -> Option<Vec<LockstepSolve>> {
-        let outcomes = BaselineResonator::factorize_lockstep(self, codebooks, queries);
-        Some(software_lockstep_solves(Backend::name(self), outcomes))
-    }
 }
 
 impl Backend for StochasticResonator {
@@ -510,14 +436,5 @@ impl Backend for StochasticResonator {
 
     fn seek_run(&mut self, cursor: u64) {
         StochasticResonator::set_run_cursor(self, cursor);
-    }
-
-    fn factorize_lockstep(
-        &mut self,
-        codebooks: &[Codebook],
-        queries: &[LockstepQuery<'_>],
-    ) -> Option<Vec<LockstepSolve>> {
-        let outcomes = StochasticResonator::factorize_lockstep(self, codebooks, queries);
-        Some(software_lockstep_solves(Backend::name(self), outcomes))
     }
 }

@@ -105,9 +105,7 @@ pub mod workload;
 
 /// Commonly used items across the workspace, re-exported for convenience.
 pub mod prelude {
-    pub use crate::backend::{
-        Backend, Capabilities, LockstepQuery, LockstepSolve, RunReport, RunTotals,
-    };
+    pub use crate::backend::{Backend, Capabilities, RunReport, RunTotals};
     pub use crate::chaos::{ChaosConfig, ChaosProxy, ChaosStats};
     pub use crate::client::{ClientConfig, ClientError, ClientStats, ResilientClient, RetryPolicy};
     pub use crate::registry::{CodebookHandle, CodebookRegistry, RegistryStats};

@@ -2,9 +2,8 @@
 //! hot/cold memory hierarchy — ROADMAP item 5.
 //!
 //! Every [`crate::session::Session`] used to own its codebooks outright,
-//! so many-tenant serving duplicated packed mirrors bigger than cache and
-//! paid full materialization even for codebooks whose bit-GEMM never
-//! streams. The registry interns codebook *sets* by a content hash of
+//! so many-tenant serving duplicated packed lane-major mirrors for every
+//! tenant. The registry interns codebook *sets* by a content hash of
 //! their sign words: sessions, carved shards, and service pools hold
 //! [`CodebookHandle`]s and resolve them to one shared allocation, so 64
 //! tenants over one codebook set cost one set's bytes, not 64.
@@ -20,13 +19,15 @@
 //!   ([`hdc::packed::PackedCodebook::drop_lane_mirror`]). Every kernel
 //!   stays available and value-identical on this representation.
 //! - **Hot tier** (LRU, byte-budgeted): a promoted mirror of the set in
-//!   which the lane-major half is materialized **only for members whose
-//!   bit-GEMM would actually stream the codebook** (the 96 KiB
-//!   [`hdc::packed::PackedCodebook::batch_streams_codebook`] threshold) —
-//!   exactly where the lane-major tiling pays for its footprint. When no
-//!   member streams, the hot representation *is* the cold `Arc` (zero
-//!   duplication): cache-resident codebooks run the row-walk either way
-//!   at parity.
+//!   which the lane-major half (the layout of the similarity kernel's
+//!   eight-row strip walk) is materialized **only for members past a
+//!   96 KiB footprint threshold** (`STREAM_BYTES`). When no member
+//!   is past it, the hot representation *is* the cold `Arc` (zero
+//!   duplication), and the similarity kernel takes its per-row walk over
+//!   the row-major words. The threshold was tuned for a batched
+//!   similarity kernel that no longer exists and has not been re-derived
+//!   for the per-query kernel; tier state never changes a result either
+//!   way.
 //!
 //! [`CodebookHandle::resolve`] touches the entry (a logical access
 //! counter, never wall time), promotes cold→hot on a miss, and returns
@@ -45,8 +46,8 @@
 //! whether a codebook is hot or cold, so `threads(N) ≡ threads(1)`,
 //! live ≡ replay, and the golden cells hold in any tier state. Each
 //! solve pass resolves its handle **once** and runs against that one
-//! `Arc` (the executor's lockstep chunking relies on slice identity
-//! within a pass).
+//! `Arc`, so the logical access clock — and with it the LRU order and
+//! [`RegistryStats`] — counts passes, not items.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -57,6 +58,20 @@ use hdc::Codebook;
 /// registry: generous enough that single-process workloads never thrash,
 /// small enough to bound mirror duplication under thousands of tenants.
 pub const DEFAULT_HOT_BUDGET_BYTES: usize = 64 * 1024 * 1024;
+
+/// Codebook footprint (row-major bytes, which the lane-major mirror
+/// duplicates exactly) above which a member gets a hot-tier lane mirror.
+/// Measured for a batched similarity kernel on a `target-cpu=native`
+/// AVX-512 host: cache-resident codebooks (≤ 64 KiB) ran at parity with
+/// the per-query walk, the first streaming shape (128 KiB) 1.8× faster;
+/// 96 KiB sits between the two.
+const STREAM_BYTES: usize = 96 * 1024;
+
+/// True when `book` is past [`STREAM_BYTES`] and so earns a hot-tier
+/// lane mirror. Depends only on the shape, never on mirror state.
+fn streams(book: &Codebook) -> bool {
+    book.packed().row_bytes() > STREAM_BYTES
+}
 
 /// Point-in-time counters of one [`CodebookRegistry`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -118,8 +133,8 @@ struct SetEntry {
     /// Per-member lane-mirror bytes currently materialized in `hot`
     /// (0 for members that do not stream or whose mirror was demoted).
     hot_member_bytes: Vec<usize>,
-    /// Per-member: true when that member's bit-GEMM would stream it
-    /// (content-derived, fixed at intern).
+    /// Per-member: true when that member is past [`STREAM_BYTES`]
+    /// (shape-derived, fixed at intern).
     member_streams: Vec<bool>,
     /// True when at least one member streams (so promotion materializes
     /// mirrors and demotion reclaims bytes).
@@ -233,7 +248,7 @@ impl CodebookRegistry {
         let mut cold_bytes = 0usize;
         for b in &mut books {
             b.drop_lane_mirror();
-            member_streams.push(b.packed().batch_streams_codebook());
+            member_streams.push(streams(b));
             cold_bytes += b.packed().row_bytes();
         }
         let any_streams = member_streams.iter().any(|&s| s);
@@ -285,9 +300,9 @@ impl CodebookRegistry {
             // missing member mirrors below (counted as a promotion +
             // materialization, not a hot hit).
         }
-        // Promotion. Non-streaming sets alias the cold Arc — their
-        // kernels run the row walk at parity and duplicating bytes buys
-        // nothing. Streaming sets get a mirror-materialized copy; a
+        // Promotion. Non-streaming sets alias the cold Arc (no duplicated
+        // bytes; their similarity kernels take the per-row walk).
+        // Streaming sets get a mirror-materialized copy; a
         // partially-demoted set starts from its current hot copy so
         // surviving mirrors are reused rather than rebuilt.
         let hot = if entry.any_streams {
@@ -384,9 +399,9 @@ pub struct CodebookHandle {
 
 impl CodebookHandle {
     /// Touches the entry (LRU), promotes it hot if demoted, and returns
-    /// the current hot `Arc`. Callers run one whole solve pass against
-    /// one resolved `Arc` — never re-resolve mid-pass (the executor's
-    /// lockstep chunking groups by slice identity).
+    /// the current hot `Arc`. Callers resolve once per solve pass and run
+    /// the whole pass against that `Arc`, so the access clock counts
+    /// passes, not items.
     pub fn resolve(&self) -> Arc<[Codebook]> {
         self.registry.resolve_slot(self.slot)
     }
@@ -506,7 +521,7 @@ mod tests {
     #[test]
     fn streaming_sets_materialize_mirrors_on_promotion() {
         let reg = Arc::new(CodebookRegistry::new());
-        // 512×2048 rows: 128 KiB row-major, past GEMM_STREAM_BYTES.
+        // 512×2048 rows: 128 KiB row-major, past STREAM_BYTES.
         let h = CodebookRegistry::intern(&reg, books(512, 2048, 1, 14));
         assert_eq!(reg.stats().hot_bytes, 0, "intern does not promote");
         let resolved = h.resolve();
@@ -514,6 +529,19 @@ mod tests {
         let stats = reg.stats();
         assert_eq!(stats.materializations, 1);
         assert_eq!(stats.hot_bytes, stats.cold_bytes, "mirror == row bytes");
+    }
+
+    #[test]
+    fn streaming_threshold_is_mirror_state_independent() {
+        // 512×2048 is decisively past STREAM_BYTES; 8×256 decisively
+        // under. The predicate must not change with mirror presence.
+        for (m, d, expect) in [(512usize, 2048usize, true), (8, 256, false)] {
+            let mut book = books(m, d, 1, 73).remove(0);
+            assert!(book.has_lane_mirror());
+            assert_eq!(streams(&book), expect, "m={m} d={d}");
+            book.drop_lane_mirror();
+            assert_eq!(streams(&book), expect, "m={m} d={d}");
+        }
     }
 
     #[test]

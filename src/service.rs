@@ -92,8 +92,8 @@ use hdc::rng::{derive_seed, stream_rng};
 use hdc::{BipolarVector, Codebook, FactorizationProblem, ProblemSpec};
 use resonator::engine::FactorizationOutcome;
 
-use crate::backend::{Backend, LockstepQuery, RunReport, RunTotals};
-use crate::executor::{self, RequestSolve};
+use crate::backend::{Backend, RunReport, RunTotals};
+use crate::executor;
 use crate::registry::{CodebookHandle, CodebookRegistry};
 use crate::session::{BackendKind, Session};
 use crate::target::TargetKind;
@@ -654,31 +654,18 @@ impl PreparedBatch {
     }
 
     /// Solves the batch on `engine` (which must be a fresh-or-warmed
-    /// engine of this batch's shard) against the shared codebooks,
-    /// chunked through the engine's lockstep stepper when it has one.
-    /// Entry cursors are contiguous by formation, so one seek per chunk
-    /// suffices; outcomes are bit-identical to a serial per-item pass.
+    /// engine of this batch's shard) against the shared codebooks, one
+    /// entry at a time, each at its admission-time cursor; outcomes are
+    /// bit-identical to a serial replay.
     pub fn solve_with(self, engine: &mut dyn Backend, codebooks: &[Codebook]) -> SolvedBatch {
-        let mut solves = Vec::with_capacity(self.entries.len());
-        for chunk in self.entries.chunks(executor::LOCKSTEP_CHUNK) {
-            engine.seek_run(chunk[0].cursor);
-            let queries: Vec<LockstepQuery<'_>> = chunk
-                .iter()
-                .map(|e| (&e.query, e.truth.as_deref()))
-                .collect();
-            match engine.factorize_lockstep(codebooks, &queries) {
-                Some(batch) => solves.extend(batch.into_iter().map(|s| executor::IndexedSolve {
-                    outcome: s.outcome,
-                    report: s.report,
-                })),
-                None => solves.extend(chunk.iter().map(|e| {
-                    engine.seek_run(e.cursor);
-                    let outcome = engine.factorize_query(codebooks, &e.query, e.truth.as_deref());
-                    let report = engine.last_run_stats();
-                    executor::IndexedSolve { outcome, report }
-                })),
-            }
-        }
+        let solves = self
+            .entries
+            .iter()
+            .map(|e| {
+                engine.seek_run(e.cursor);
+                executor::solve_one(engine, codebooks, &e.query, e.truth.as_deref())
+            })
+            .collect();
         SolvedBatch {
             batch: self,
             solves,
@@ -1149,26 +1136,28 @@ impl FactorizationService {
     pub fn solve_and_complete(&mut self, batch: PreparedBatch) -> usize {
         let i = batch.shard;
         let threads = executor::resolve_threads(self.threads).min(batch.entries.len());
-        // One registry resolve per micro-batch: a single LRU touch, and
-        // one `Arc` for the whole batch (the executor chunks by slice
-        // identity). Tier state never changes outcomes, only footprint.
+        // One registry resolve per micro-batch: a single LRU touch for
+        // the whole batch. Tier state never changes outcomes, only
+        // footprint.
         let codebooks = self.parent.codebook_handle().resolve();
         let solved = if threads > 1 {
-            let factory: Box<dyn Fn() -> Box<dyn Backend> + Send + Sync> =
-                Box::new(self.shards[i].session.backend_factory());
-            let requests: Vec<RequestSolve<'_>> = batch
-                .entries
-                .iter()
-                .map(|e| RequestSolve {
-                    shard: 0,
-                    cursor: e.cursor,
-                    codebooks: &codebooks,
-                    query: &e.query,
-                    truth: e.truth.as_deref(),
-                })
-                .collect();
-            let solves =
-                executor::solve_requests(std::slice::from_ref(&factory), &requests, threads);
+            let factory = self.shards[i].session.backend_factory();
+            let entries = &batch.entries;
+            // Entry cursors are contiguous by formation: entry `k` runs at
+            // the first cursor plus `k`, exactly as the pool assigns them.
+            let solves = executor::solve_each(
+                &factory,
+                entries.len(),
+                |k| {
+                    (
+                        &codebooks[..],
+                        &entries[k].query,
+                        entries[k].truth.as_deref(),
+                    )
+                },
+                entries[0].cursor,
+                threads,
+            );
             SolvedBatch { batch, solves }
         } else {
             let engine = self.shards[i].session.backend_mut();

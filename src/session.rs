@@ -34,7 +34,7 @@ use resonator::engine::FactorizationOutcome;
 use resonator::metrics::IterationStats;
 use resonator::{BaselineResonator, StochasticResonator};
 
-use crate::backend::{Backend, LockstepQuery, RunReport};
+use crate::backend::{Backend, RunReport};
 use crate::executor;
 use crate::registry::{CodebookHandle, CodebookRegistry};
 use crate::target::{ApproxTiledBackend, TargetKind};
@@ -307,8 +307,8 @@ impl SessionBuilder {
     /// content-identical codebooks — e.g. many tenants at one seed —
     /// resolve to **one** shared allocation through the registry, and the
     /// registry's hot/cold hierarchy decides lazily whether the packed
-    /// lane-major mirrors are materialized (only for codebooks whose
-    /// bit-GEMM streams). Results are bit-identical in every tier state;
+    /// lane-major mirrors are materialized (only for codebooks past its
+    /// streaming threshold). Results are bit-identical in every tier state;
     /// pass a private registry in tests/benches that measure footprint.
     pub fn registry(mut self, registry: Arc<CodebookRegistry>) -> Self {
         self.registry = Some(registry);
@@ -445,8 +445,8 @@ pub struct Session {
     /// shards and request streams hold the same allocation (`Arc`), so a
     /// pool of N shards stores the codebooks once, not N times. Solve
     /// passes refresh this once per pass ([`Session::refresh_codebooks`])
-    /// and run entirely against one `Arc` — the executor's lockstep
-    /// chunking groups by slice identity.
+    /// and run entirely against one `Arc`, so registry touches count
+    /// passes, not items.
     codebooks: Arc<[Codebook]>,
     backend: Box<dyn Backend>,
     /// Next problem-stream cursor: problem `k` of this session draws the
@@ -711,91 +711,40 @@ impl Session {
         solves
     }
 
-    /// Sequential solve of `items` at the backend's current run cursor:
-    /// contiguous chunks route through the backend's lockstep batch
-    /// stepper when it has one (bit-identical to per-item calls, but
-    /// matrix–matrix in the kernels), with a per-item fallback otherwise.
-    /// Leaves the cursor and `last_report` exactly as a per-item pass
-    /// would.
+    /// Sequential solve of `items`, one by one, at the backend's current
+    /// run cursor; records the final item's report.
     fn solve_items_sequential(&mut self, items: &[BatchItem]) -> Vec<executor::IndexedSolve> {
-        let mut solves = Vec::with_capacity(items.len());
-        for chunk in items.chunks(executor::LOCKSTEP_CHUNK) {
-            let queries: Vec<LockstepQuery<'_>> = chunk
-                .iter()
-                .map(|item| (&item.query, item.truth.as_deref()))
-                .collect();
-            match self.backend.factorize_lockstep(&self.codebooks, &queries) {
-                Some(batch) => solves.extend(batch.into_iter().map(|s| executor::IndexedSolve {
-                    outcome: s.outcome,
-                    report: s.report,
-                })),
-                None => {
-                    for item in chunk {
-                        let outcome = self.backend.factorize_query(
-                            &self.codebooks,
-                            &item.query,
-                            item.truth.as_deref(),
-                        );
-                        let report = self.backend.last_run_stats();
-                        solves.push(executor::IndexedSolve { outcome, report });
-                    }
-                }
-            }
-        }
-        self.last_report = match solves.last() {
-            Some(solve) => solve.report.clone(),
-            None => self.backend.last_run_stats(),
-        };
+        let solves = items
+            .iter()
+            .map(|item| {
+                executor::solve_one(
+                    self.backend.as_mut(),
+                    &self.codebooks,
+                    &item.query,
+                    item.truth.as_deref(),
+                )
+            })
+            .collect();
+        self.last_report = self.backend.last_run_stats();
         solves
     }
 
     /// The workload counterpart of [`Session::solve_items_sequential`]:
-    /// lockstep chunks additionally break where the codebook group
-    /// changes (fresh-codebook workloads interleave groups), falling back
-    /// to per-item solves for engines without a stepper.
+    /// each item is solved against its own codebook group.
     fn solve_workload_sequential(&mut self, set: &WorkloadSet) -> Vec<executor::IndexedSolve> {
-        let mut solves = Vec::with_capacity(set.items.len());
-        let mut start = 0usize;
-        while start < set.items.len() {
-            let group = set.items[start].group;
-            let mut end = start + 1;
-            while end < set.items.len()
-                && end - start < executor::LOCKSTEP_CHUNK
-                && set.items[end].group == group
-            {
-                end += 1;
-            }
-            let chunk = &set.items[start..end];
-            let queries: Vec<LockstepQuery<'_>> = chunk
-                .iter()
-                .map(|item| (&item.query, item.truth.as_deref()))
-                .collect();
-            match self
-                .backend
-                .factorize_lockstep(&set.groups[group], &queries)
-            {
-                Some(batch) => solves.extend(batch.into_iter().map(|s| executor::IndexedSolve {
-                    outcome: s.outcome,
-                    report: s.report,
-                })),
-                None => {
-                    for item in chunk {
-                        let outcome = self.backend.factorize_query(
-                            &set.groups[group],
-                            &item.query,
-                            item.truth.as_deref(),
-                        );
-                        let report = self.backend.last_run_stats();
-                        solves.push(executor::IndexedSolve { outcome, report });
-                    }
-                }
-            }
-            start = end;
-        }
-        self.last_report = match solves.last() {
-            Some(solve) => solve.report.clone(),
-            None => self.backend.last_run_stats(),
-        };
+        let solves = set
+            .items
+            .iter()
+            .map(|item| {
+                executor::solve_one(
+                    self.backend.as_mut(),
+                    &set.groups[item.group],
+                    &item.query,
+                    item.truth.as_deref(),
+                )
+            })
+            .collect();
+        self.last_report = self.backend.last_run_stats();
         solves
     }
 
@@ -974,11 +923,11 @@ impl fmt::Debug for Session {
 
 /// Steal events of the deterministic parallel executor since process
 /// start, across every pass (monotone, process-global). A steal happens
-/// when a worker's own chunk deque drains and it takes the back half of
-/// another worker's — the signature of ragged lockstep retirement being
+/// when a worker's own item deque drains and it takes the back half of
+/// another worker's — the signature of ragged item retirement being
 /// rebalanced. Observability only (the bench harness records it next to
 /// the per-thread scaling curve); scheduling never reads it, and steal
-/// timing cannot reach outcomes — every chunk re-seeds its engine from
+/// timing cannot reach outcomes — every item re-seeds its engine from
 /// its own cursor, so `threads(N) ≡ threads(1)` holds under any
 /// interleaving.
 pub fn executor_steal_events() -> u64 {

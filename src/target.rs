@@ -5,8 +5,8 @@
 //!
 //! - [`TargetKind::Functional`] (the default) — the engines themselves
 //!   (`H3dFact`, `Sram2dEngine`, `BaselineResonator`, …), with their
-//!   bit-exact packed kernels, lockstep steppers and native batch
-//!   schedules. Every golden pins this path.
+//!   bit-exact packed kernels and native batch schedules. Every golden
+//!   pins this path.
 //! - [`TargetKind::ApproxTiled`] — [`ApproxTiledBackend`], an approximate
 //!   hardware co-simulation of the analog crossbar engines: tiled
 //!   crossbars with IR drop, rectifying ADC readout, and a lumped-RC

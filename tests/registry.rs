@@ -18,8 +18,8 @@ fn session_on(registry: &Arc<CodebookRegistry>, seed: u64, threads: usize) -> Se
         .build()
 }
 
-/// A problem shape whose codebooks stream in the bit-GEMM (512×2048 rows
-/// are 128 KiB, past the 96 KiB threshold), so promotion actually
+/// A problem shape whose codebooks are past the registry's streaming
+/// threshold (512×2048 rows are 128 KiB, past 96 KiB), so promotion actually
 /// materializes lane mirrors and demotion actually reclaims bytes.
 fn streaming_session_on(registry: &Arc<CodebookRegistry>, seed: u64) -> Session {
     Session::builder()
