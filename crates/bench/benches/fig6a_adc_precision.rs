@@ -19,7 +19,7 @@ fn run_curve(bits: u8, trials: usize, budget: usize, spec: ProblemSpec) -> Vec<f
         cfg.loop_config.record_trajectory = true;
         let mut engine = H3dFact::new(cfg, t);
         let out = engine.factorize(&p);
-        traces.push(out.correct_at);
+        traces.push(out.correct_at().to_vec());
     }
     accuracy_curve(&traces, budget)
 }

@@ -44,7 +44,7 @@ fn main() {
         if out.solved {
             one_shot_hits += 1;
         }
-        traces.push(out.correct_at);
+        traces.push(out.correct_at().to_vec());
     }
     let curve = accuracy_curve(&traces, budget);
 

@@ -1,6 +1,7 @@
 //! Kernel performance harness: measures the packed-codebook MVM, the
-//! dispatch arms, the allocation-free iteration round-trip, and the
-//! parallel batch executor against their pre-optimization baselines,
+//! dispatch arms, the blocked decode, the allocation-free iteration
+//! round-trip, and the parallel batch executor against their
+//! pre-optimization baselines,
 //! then writes a `BENCH_kernels.json` summary so the perf trajectory is
 //! tracked.
 //!
@@ -14,8 +15,9 @@
 //! word width, the dispatch arm) without which cross-host numbers are not
 //! comparable. The harness **asserts** — in `--quick` CI smoke runs too —
 //! that every supported dispatch arm reproduces the scalar arm bit for
-//! bit on the per-query kernels, and that the parallel batch report
-//! matches the sequential one.
+//! bit on the per-query kernels, that the blocked decode picks exactly
+//! what the row walk picks on every arm, and that the parallel batch
+//! report matches the sequential one.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -129,6 +131,53 @@ fn main() {
         ));
     }
 
+    // --- Decode at the batch-grid shapes (3×{16,32,64}×256): the row
+    //     walk (`max_by_key` over per-row dots) vs the blocked
+    //     `argmax_abs`, for one iteration's three factor estimates. The
+    //     blocked pick is hard-asserted identical on every arm first. ---
+    let mut decode_rows = String::new();
+    for (k, m) in [16usize, 32, 64].into_iter().enumerate() {
+        let mut rng = hdc::rng::rng_from_seed(m as u64);
+        let books: Vec<hdc::Codebook> = (0..3)
+            .map(|_| hdc::Codebook::random(m, 256, &mut rng))
+            .collect();
+        let estimates: Vec<hdc::BipolarVector> = (0..3)
+            .map(|_| hdc::BipolarVector::random(256, &mut rng))
+            .collect();
+        let row_walk = |p: &hdc::PackedCodebook, q: &hdc::BipolarVector| {
+            (0..p.len())
+                .map(|j| (j, p.dot_row(j, q)))
+                .max_by_key(|&(_, d)| d.abs())
+                .expect("codebook is non-empty")
+        };
+        for (b, q) in books.iter().zip(&estimates) {
+            let expect = row_walk(b.packed(), q);
+            for &arm in &supported {
+                assert_eq!(
+                    b.packed().argmax_abs_forced(q, arm),
+                    expect,
+                    "decode under `{arm}` diverged from the row walk at M={m}"
+                );
+            }
+        }
+        let walk_ns = time_ns(mvm_reps, || {
+            for (b, q) in books.iter().zip(&estimates) {
+                black_box(row_walk(b.packed(), black_box(q)));
+            }
+        });
+        let blocked_ns = time_ns(mvm_reps, || {
+            for (b, q) in books.iter().zip(&estimates) {
+                black_box(b.packed().argmax_abs(black_box(q)));
+            }
+        });
+        decode_rows.push_str(&format!(
+            "      {{ \"m\": {m}, \"row_walk_ns\": {walk_ns:.1}, \"argmax_abs_ns\": {blocked_ns:.1}, \
+             \"speedup\": {:.2}, \"identical_on_every_arm\": true }}{}\n",
+            walk_ns / blocked_ns,
+            if k < 2 { "," } else { "" }
+        ));
+    }
+
     // --- Iteration round-trip (similarity + projection + re-sign):
     //     allocating reference vs scratch-buffer path. ---
     let alloc_ns = time_ns(iter_reps, || {
@@ -199,6 +248,9 @@ fn main() {
          \"dispatch_arms_m256_d1024\": {{\n    \
          \"arms\": [\n{arm_rows}    ],\n    \
          \"note\": \"per runtime-dispatch arm, one query; identity vs the scalar arm is hard-asserted before timing\"\n  }},\n  \
+         \"decode_f3_d256\": {{\n    \
+         \"shapes\": [\n{decode_rows}    ],\n    \
+         \"note\": \"ns per decode of three factor estimates, active arm; (index, dot) identity vs the row walk is hard-asserted on every arm before timing\"\n  }},\n  \
          \"iteration_roundtrip_m256_d1024\": {{\n    \
          \"allocating_ns\": {alloc_ns:.1},\n    \
          \"allocfree_ns\": {allocfree_ns:.1},\n    \

@@ -34,12 +34,13 @@ fn percentile(sorted: &[f64], permille: usize) -> f64 {
     sorted[rank - 1]
 }
 
-/// A shape whose codebooks are past the registry's streaming threshold
-/// (128 KiB > 96 KiB), so hot-tier promotion pays real materialization.
-const STREAMING_SPEC: ProblemSpec = ProblemSpec {
+/// A shape whose codebooks get hot-tier lane mirrors (1024×1024 rows:
+/// 16 words wide) at 128 KiB per member, so promotion pays real
+/// materialization.
+const MIRRORED_SPEC: ProblemSpec = ProblemSpec {
     factors: 2,
-    codebook_size: 512,
-    dim: 2048,
+    codebook_size: 1024,
+    dim: 1024,
 };
 
 /// A session pinned to a private registry, at the bench seed discipline.
@@ -207,10 +208,9 @@ fn main() {
     // ── Registry: the content-addressed codebook memory hierarchy. ──
     // (a) Warm-up amortization: steady-state hot-tier resolve vs a
     // resolve that must rematerialize demoted lane mirrors, on a shape
-    // that actually streams (512×2048 rows = 128 KiB > the 96 KiB
-    // threshold).
+    // whose members get 128 KiB lane mirrors.
     let roomy = Arc::new(CodebookRegistry::new());
-    let hot_session = registry_session(&roomy, STREAMING_SPEC, fx::SEED);
+    let hot_session = registry_session(&roomy, MIRRORED_SPEC, fx::SEED);
     let hot_handle = hot_session.codebook_handle().clone();
     let resolve_reps = if quick { 200 } else { 2000 };
     let t = Instant::now();
@@ -222,8 +222,8 @@ fn main() {
     // A zero-byte budget forces the two sets to evict each other on
     // every alternating touch: each resolve pays full rematerialization.
     let pressured = Arc::new(CodebookRegistry::with_hot_budget(0));
-    let pa = registry_session(&pressured, STREAMING_SPEC, fx::SEED);
-    let pb = registry_session(&pressured, STREAMING_SPEC, fx::SEED + 1);
+    let pa = registry_session(&pressured, MIRRORED_SPEC, fx::SEED);
+    let pb = registry_session(&pressured, MIRRORED_SPEC, fx::SEED + 1);
     let (ha, hb) = (pa.codebook_handle().clone(), pb.codebook_handle().clone());
     let cold_reps = if quick { 20 } else { 100 };
     let t = Instant::now();

@@ -192,17 +192,13 @@ impl Codebook {
         bundle(&self.vectors, TieBreak::Parity)
     }
 
-    /// Nearest codevector to `query` by dot product.
+    /// Nearest codevector to `query` by dot product (the last one on
+    /// ties).
     pub fn cleanup(&self, query: &BipolarVector) -> CleanupHit {
-        let (index, dot) = (0..self.vectors.len())
-            .map(|i| (i, self.packed.dot_row(i, query)))
-            .max_by_key(|&(_, d)| d)
-            .expect("codebook is non-empty");
-        CleanupHit {
-            index,
-            dot,
-            cosine: dot as f64 / self.dim as f64,
-        }
+        self.hit(
+            self.packed
+                .argmax_by_key(query, crate::dispatch::active(), |d| d),
+        )
     }
 
     /// Nearest codevector by **absolute** dot product.
@@ -211,13 +207,14 @@ impl Codebook {
     /// factor estimates leaves the composed product unchanged, so a
     /// resonator may converge onto `−x_i` for some factors. The item
     /// *index* is still unambiguous — it is the codevector with the largest
-    /// `|dot|` — which is how the engines decode estimates. The returned
+    /// `|dot|` — which is how the engines decode estimates (the last one
+    /// on ties; see [`PackedCodebook::argmax_abs`]). The returned
     /// `dot`/`cosine` keep their sign.
     pub fn cleanup_abs(&self, query: &BipolarVector) -> CleanupHit {
-        let (index, dot) = (0..self.vectors.len())
-            .map(|i| (i, self.packed.dot_row(i, query)))
-            .max_by_key(|&(_, d)| d.abs())
-            .expect("codebook is non-empty");
+        self.hit(self.packed.argmax_abs(query))
+    }
+
+    fn hit(&self, (index, dot): (usize, i64)) -> CleanupHit {
         CleanupHit {
             index,
             dot,

@@ -264,6 +264,70 @@ impl PackedCodebook {
         }
     }
 
+    /// The decode: the row with the largest `|dot|` against `query`, as
+    /// `(index, dot)` with the dot's sign kept. Ties go to the **last**
+    /// such row, as with `max_by_key` over the per-row dots. One
+    /// allocation-free pass over the lane-major strips (the row walk
+    /// without a mirror), so it costs one similarity MVM and no buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the query dimension differs.
+    pub fn argmax_abs(&self, query: &BipolarVector) -> (usize, i64) {
+        self.argmax_by_key(query, dispatch::active(), i64::abs)
+    }
+
+    /// [`PackedCodebook::argmax_abs`] pinned to one dispatch arm (see
+    /// [`PackedCodebook::similarities_into_forced`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if this host cannot execute `arm`, or the query dimension
+    /// differs.
+    pub fn argmax_abs_forced(&self, query: &BipolarVector, arm: SimdArm) -> (usize, i64) {
+        self.argmax_by_key(query, forced_table(arm), i64::abs)
+    }
+
+    /// The row maximizing `key(dot)`, the last one on ties; behind both
+    /// decodes ([`PackedCodebook::argmax_abs`] and the signed
+    /// [`crate::Codebook::cleanup`]).
+    pub(crate) fn argmax_by_key(
+        &self,
+        query: &BipolarVector,
+        k: &KernelTable,
+        key: impl Fn(i64) -> i64,
+    ) -> (usize, i64) {
+        assert_eq!(query.dim(), self.dim, "query dimension mismatch");
+        let q = query.words();
+        let d = self.dim as i64;
+        let m = self.len;
+        let (mut best, mut best_key) = ((0, 0), i64::MIN);
+        let mut offer = |j: usize, dot: i64| {
+            let kd = key(dot);
+            if kd >= best_key {
+                best = (j, dot);
+                best_key = kd;
+            }
+        };
+        // The similarity kernel's walk (lane strips, then the row tail),
+        // with each dot offered to the running maximum instead of stored.
+        let mut j = 0;
+        if !self.lane_words.is_empty() {
+            while j + LANE_BLOCK <= m {
+                let counts = (k.strip8)(&self.lane_words, m, q.len(), j, q);
+                for (l, &c) in counts.iter().enumerate() {
+                    offer(j + l, d - 2 * c as i64);
+                }
+                j += LANE_BLOCK;
+            }
+        }
+        while j < m {
+            offer(j, d - 2 * (k.disagreement)(self.row(j), q) as i64);
+            j += 1;
+        }
+        best
+    }
+
     /// Similarity MVM `a = Xᵀ q` into `out` as `i64`.
     ///
     /// # Panics

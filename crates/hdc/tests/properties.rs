@@ -1,8 +1,9 @@
 //! Property-based tests for the VSA algebra invariants.
 
 use hdc::rng::rng_from_seed;
-use hdc::{bind_all, bundle, BipolarVector, Codebook, TieBreak};
+use hdc::{bind_all, bundle, BipolarVector, Codebook, PackedCodebook, TieBreak};
 use proptest::prelude::*;
+use rand::Rng;
 
 fn arb_dim() -> impl Strategy<Value = usize> {
     prop_oneof![1usize..=4, 60usize..=68, 120usize..=130, Just(256)]
@@ -321,6 +322,59 @@ proptest! {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn argmax_abs_equals_the_row_walk_max_by_key(
+        m in prop_oneof![Just(1usize), Just(7), Just(8), Just(9), Just(17), Just(64)],
+        dim in prop_oneof![Just(64usize), Just(100), Just(256), Just(1000)],
+        seed in 0u64..500,
+    ) {
+        // The blocked decode must pick exactly what `max_by_key` over the
+        // per-row dots picks, ties included (the last row with the largest
+        // key wins), on every arm, with and without the lane mirror.
+        // Duplicated and negated rows force ties in |dot|; a query equal
+        // to a row (or its negation) makes the tied rows the maximum.
+        let mut rng = rng_from_seed(seed);
+        let mut rows: Vec<BipolarVector> =
+            (0..m).map(|_| BipolarVector::random(dim, &mut rng)).collect();
+        for j in 0..m {
+            let src = rng.gen_range(0..m);
+            match rng.gen_range(0..4) {
+                0 => rows[j] = rows[src].clone(),
+                1 => rows[j] = rows[src].negated(),
+                _ => {}
+            }
+        }
+        let row_query = rows[rng.gen_range(0..m)].clone();
+        let queries = [
+            BipolarVector::random(dim, &mut rng),
+            row_query.negated(),
+            row_query,
+        ];
+        let full = PackedCodebook::from_vectors(&rows);
+        let rows_only = PackedCodebook::from_vectors_row_major(&rows);
+        let book = Codebook::from_vectors(rows);
+        for q in &queries {
+            let dots: Vec<(usize, i64)> = (0..m).map(|j| (j, full.dot_row(j, q))).collect();
+            let by_abs = *dots.iter().max_by_key(|&&(_, d)| d.abs()).unwrap();
+            let signed = *dots.iter().max_by_key(|&&(_, d)| d).unwrap();
+            for packed in [&full, &rows_only] {
+                prop_assert_eq!(packed.argmax_abs(q), by_abs);
+                for arm in hdc::SimdArm::ALL.into_iter().filter(|a| a.supported()) {
+                    prop_assert_eq!(
+                        packed.argmax_abs_forced(q, arm),
+                        by_abs,
+                        "arm {} m {} dim {} mirror {}",
+                        arm, m, dim, packed.has_lane_mirror()
+                    );
+                }
+            }
+            let hit = book.cleanup_abs(q);
+            prop_assert_eq!((hit.index, hit.dot), by_abs);
+            let hit = book.cleanup(q);
+            prop_assert_eq!((hit.index, hit.dot), signed);
         }
     }
 }

@@ -217,8 +217,7 @@ mod tests {
                 cycle: None,
                 revisits: 0,
                 degenerate_events: 0,
-                correct_at: Vec::new(),
-                cosines: Vec::new(),
+                trajectory: None,
                 times: Default::default(),
             }
         }

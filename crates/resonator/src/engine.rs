@@ -162,15 +162,22 @@ impl LoopConfig {
 }
 
 /// Wall-clock time spent in each kernel of a run (Fig. 1c's profile).
+///
+/// The four phases tile the iteration loop: the clock is read once per
+/// phase boundary and each phase is charged the time since the previous
+/// boundary, so their sum is the loop's wall time (set-up before the
+/// first iteration is not counted) and their shares sum to one.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PhaseTimes {
-    /// Unbinding (XNOR) time.
+    /// Unbinding (XNOR) time, including gathering the other estimates.
     pub unbind: Duration,
     /// Similarity-MVM (+ activation) time.
     pub similarity: Duration,
-    /// Projection-MVM (+ sign) time.
+    /// Projection-MVM (+ sign) time, including the degenerate-activation
+    /// fallback that writes the estimate instead.
     pub projection: Duration,
-    /// Everything else: decode, bookkeeping, cycle detection.
+    /// Everything else: decode, the cycle check and loop bookkeeping
+    /// (including the kernels' end-of-iteration hook).
     pub other: Duration,
 }
 
@@ -209,14 +216,45 @@ pub struct FactorizationOutcome {
     pub revisits: usize,
     /// Number of degenerate (all-zero activation) events.
     pub degenerate_events: usize,
-    /// Per-iteration decode-correct flags (only with ground truth and
-    /// `record_trajectory`).
-    pub correct_at: Vec<bool>,
-    /// Per-iteration, per-factor cosine of the estimate to the true factor
-    /// (only with ground truth and `record_trajectory`).
-    pub cosines: Vec<Vec<f64>>,
+    /// Per-iteration traces, present only with
+    /// [`LoopConfig::record_trajectory`]. Boxed so that the common
+    /// untraced outcome carries one pointer rather than two empty vectors.
+    pub trajectory: Option<Box<Trajectory>>,
     /// Kernel wall-time profile of the run.
     pub times: PhaseTimes,
+}
+
+/// Per-iteration traces of one run (see [`LoopConfig::record_trajectory`]).
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct Trajectory {
+    /// Per-iteration decode-correct flags.
+    pub correct_at: Vec<bool>,
+    /// Per-iteration, per-factor cosine of the estimate to the true factor
+    /// (only with ground truth).
+    pub cosines: Vec<Vec<f64>>,
+}
+
+impl FactorizationOutcome {
+    /// The per-iteration decode-correct flags; empty unless the run
+    /// recorded its trajectory.
+    pub fn correct_at(&self) -> &[bool] {
+        self.trajectory.as_deref().map_or(&[], |t| &t.correct_at)
+    }
+
+    /// The per-iteration, per-factor cosines to the true factors; empty
+    /// unless the run recorded its trajectory with ground truth.
+    pub fn cosines(&self) -> &[Vec<f64>] {
+        self.trajectory.as_deref().map_or(&[], |t| &t.cosines)
+    }
+}
+
+/// Charges the time since `mark` to `slot` and moves `mark` to now: one
+/// clock read per phase boundary.
+#[inline]
+fn lap(mark: &mut Instant, slot: &mut Duration) {
+    let now = Instant::now();
+    *slot += now - *mark;
+    *mark = now;
 }
 
 /// Kernel-level interface implemented by every factorization engine in
@@ -316,15 +354,17 @@ impl ResonatorLoop {
             cycle: None,
             revisits: 0,
             degenerate_events: 0,
-            correct_at: Vec::new(),
-            cosines: Vec::new(),
+            trajectory: self
+                .config
+                .record_trajectory
+                .then(|| Box::new(Trajectory::default())),
             times,
         };
 
+        let mut mark = Instant::now();
         for t in 1..=self.config.max_iters {
             outcome.iterations = t;
             for fi in 0..f {
-                let t0 = Instant::now();
                 // Sequential order reads the freshest estimates (already
                 // written into `next` for factors < fi), synchronous order
                 // reads only the previous iteration's state.
@@ -342,11 +382,10 @@ impl ResonatorLoop {
                     })
                     .collect();
                 kernels.unbind_into(query, &others, &mut unbound);
-                times.unbind += t0.elapsed();
+                lap(&mut mark, &mut times.unbind);
 
-                let t1 = Instant::now();
                 kernels.similarity_weights_into(fi, &unbound, &mut weights);
-                times.similarity += t1.elapsed();
+                lap(&mut mark, &mut times.similarity);
 
                 let all_zero = weights.iter().all(|&w| w == 0.0);
                 if all_zero {
@@ -362,23 +401,18 @@ impl ResonatorLoop {
                             for _ in 0..k.clamp(1, m) {
                                 sparse[rng.gen_range(0..m)] = 1.0;
                             }
-                            let t2 = Instant::now();
                             kernels.project_into(fi, &sparse, &mut sums);
                             next[fi].assign_signs_of_reals(&sums);
-                            times.projection += t2.elapsed();
                         }
                     }
-                    continue;
+                } else {
+                    kernels.project_into(fi, &weights, &mut sums);
+                    next[fi].assign_signs_of_reals(&sums);
                 }
-
-                let t2 = Instant::now();
-                kernels.project_into(fi, &weights, &mut sums);
-                next[fi].assign_signs_of_reals(&sums);
-                times.projection += t2.elapsed();
+                lap(&mut mark, &mut times.projection);
             }
             kernels.end_iteration();
 
-            let t3 = Instant::now();
             let fixed_point = next == estimates;
             std::mem::swap(&mut estimates, &mut next);
 
@@ -398,10 +432,10 @@ impl ResonatorLoop {
                     composed.cosine(query).abs() >= self.config.accept_threshold
                 }
             };
-            if self.config.record_trajectory {
-                outcome.correct_at.push(correct);
+            if let Some(trajectory) = outcome.trajectory.as_deref_mut() {
+                trajectory.correct_at.push(correct);
                 if let Some(tr) = truth {
-                    outcome.cosines.push(
+                    trajectory.cosines.push(
                         (0..f)
                             .map(|fi| estimates[fi].cosine(codebooks[fi].vector(tr[fi])))
                             .collect(),
@@ -411,10 +445,11 @@ impl ResonatorLoop {
             if correct {
                 outcome.solved = true;
                 outcome.solved_at = Some(t);
-                times.other += t3.elapsed();
+                lap(&mut mark, &mut times.other);
                 break;
             }
 
+            let mut stop = false;
             match self.config.cycle_action {
                 CycleAction::Ignore => {}
                 CycleAction::Abort | CycleAction::Record => {
@@ -422,20 +457,18 @@ impl ResonatorLoop {
                         if outcome.cycle.is_none() {
                             outcome.cycle = Some(info);
                         }
-                        if self.config.cycle_action == CycleAction::Abort {
-                            times.other += t3.elapsed();
-                            break;
-                        }
+                        stop = self.config.cycle_action == CycleAction::Abort;
                     }
                 }
             }
-
-            if fixed_point && self.config.stop_on_fixed_point {
+            if !stop && fixed_point && self.config.stop_on_fixed_point {
                 outcome.converged = true;
-                times.other += t3.elapsed();
+                stop = true;
+            }
+            lap(&mut mark, &mut times.other);
+            if stop {
                 break;
             }
-            times.other += t3.elapsed();
         }
 
         outcome.revisits = detector.revisits();
@@ -462,6 +495,51 @@ mod tests {
         assert_eq!(t.total(), Duration::from_millis(100));
         assert!((t.mvm_fraction() - 0.8).abs() < 1e-9);
         assert_eq!(PhaseTimes::default().mvm_fraction(), 0.0);
+    }
+
+    #[test]
+    fn phases_tile_the_loop_within_the_wall_time() {
+        use crate::activation::Activation;
+        use crate::software::{SoftwareKernels, StochasticResonator};
+        use hdc::{FactorizationProblem, ProblemSpec};
+
+        let spec = ProblemSpec::new(3, 64, 256);
+        let p = FactorizationProblem::random(spec, &mut rng_from_seed(5));
+        let mut kernels = SoftwareKernels::new(
+            p.codebooks(),
+            StochasticResonator::CHIP_CELL_SIGMA * (spec.dim as f64).sqrt(),
+            true,
+            Activation::noise_referenced(4, spec.dim, StochasticResonator::DEFAULT_LSB_SIGMAS),
+            6,
+        );
+        let engine = ResonatorLoop::new(LoopConfig::stochastic(40));
+        let start = Instant::now();
+        let out = engine.run(
+            &mut kernels,
+            p.codebooks(),
+            p.product(),
+            Some(p.true_indices()),
+            7,
+        );
+        let wall = start.elapsed();
+        assert!(out.iterations > 1, "need a multi-iteration solve");
+        let t = out.times;
+        for (name, d) in [
+            ("unbind", t.unbind),
+            ("similarity", t.similarity),
+            ("projection", t.projection),
+            ("other", t.other),
+        ] {
+            assert!(d > Duration::ZERO, "{name} phase recorded no time");
+        }
+        assert!(t.total() <= wall, "{:?} > wall {wall:?}", t.total());
+    }
+
+    #[test]
+    fn untraced_outcome_stays_small() {
+        // The trajectory is boxed so the outcome buffers a batch keeps stay
+        // small; a field added back inline should be a deliberate choice.
+        assert!(std::mem::size_of::<FactorizationOutcome>() <= 168);
     }
 
     #[test]

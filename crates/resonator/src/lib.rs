@@ -57,7 +57,8 @@ pub use batch::{BatchItem, BatchOutcome};
 pub use capacity::{measure_cell, CapacityCell, SweepConfig};
 pub use convergence::{CycleDetector, CycleInfo};
 pub use engine::{
-    DegeneratePolicy, FactorizationOutcome, Factorizer, LoopConfig, ResonatorKernels, ResonatorLoop,
+    DegeneratePolicy, FactorizationOutcome, Factorizer, LoopConfig, ResonatorKernels,
+    ResonatorLoop, Trajectory,
 };
 pub use software::{BaselineResonator, SoftwareKernels, SoftwareRunSummary, StochasticResonator};
 pub use superposed::{explain_away, ExplainAwayConfig, SuperposedOutcome};

@@ -437,13 +437,13 @@ mod tests {
         let mut eng = BaselineResonator::with_config(cfg, 6);
         let out = eng.factorize(&p);
         assert!(out.solved);
-        assert_eq!(out.correct_at.len(), out.iterations);
-        assert_eq!(out.cosines.len(), out.iterations);
-        assert!(*out.correct_at.last().unwrap());
+        assert_eq!(out.correct_at().len(), out.iterations);
+        assert_eq!(out.cosines().len(), out.iterations);
+        assert!(*out.correct_at().last().unwrap());
         // At solve time each estimate's strongest codebook alignment is
         // the true factor (up to the global sign symmetry); the magnitude
         // only needs to clear the random-similarity floor ~1/sqrt(D).
-        assert!(out.cosines.last().unwrap().iter().all(|&c| c.abs() > 0.1));
+        assert!(out.cosines().last().unwrap().iter().all(|&c| c.abs() > 0.1));
     }
 
     #[test]

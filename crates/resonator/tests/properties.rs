@@ -69,14 +69,14 @@ proptest! {
             seed,
         );
         let out = eng.factorize(&p);
-        prop_assert_eq!(out.correct_at.len(), out.iterations);
-        prop_assert_eq!(out.cosines.len(), out.iterations);
-        for cs in &out.cosines {
+        prop_assert_eq!(out.correct_at().len(), out.iterations);
+        prop_assert_eq!(out.cosines().len(), out.iterations);
+        for cs in out.cosines() {
             prop_assert_eq!(cs.len(), spec.factors);
             prop_assert!(cs.iter().all(|c| (-1.0..=1.0).contains(c)));
         }
         // The final trace entry agrees with the outcome.
-        if let Some(&last) = out.correct_at.last() {
+        if let Some(&last) = out.correct_at().last() {
             prop_assert_eq!(last, out.solved);
         }
     }

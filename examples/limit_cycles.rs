@@ -70,12 +70,13 @@ fn main() {
         out.solved, out.solved_at, out.revisits
     );
 
-    if !out.cosines.is_empty() {
+    let cosines = out.cosines();
+    if !cosines.is_empty() {
         println!("\nper-factor |cosine to truth| along the stochastic trajectory:");
-        let n = out.cosines.len();
+        let n = cosines.len();
         let marks: Vec<usize> = (0..8).map(|i| i * (n - 1).max(1) / 7).collect();
         for &t in &marks {
-            let cs = &out.cosines[t];
+            let cs = &cosines[t];
             let bars: String = cs
                 .iter()
                 .map(|c| {

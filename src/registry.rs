@@ -20,14 +20,13 @@
 //!   stays available and value-identical on this representation.
 //! - **Hot tier** (LRU, byte-budgeted): a promoted mirror of the set in
 //!   which the lane-major half (the layout of the similarity kernel's
-//!   eight-row strip walk) is materialized **only for members past a
-//!   96 KiB footprint threshold** (`STREAM_BYTES`). When no member
-//!   is past it, the hot representation *is* the cold `Arc` (zero
-//!   duplication), and the similarity kernel takes its per-row walk over
-//!   the row-major words. The threshold was tuned for a batched
-//!   similarity kernel that no longer exists and has not been re-derived
-//!   for the per-query kernel; tier state never changes a result either
-//!   way.
+//!   eight-row strip walk) is materialized **only for members whose shape
+//!   the strip walk wins at** (`gets_mirror`: the row-major words fit
+//!   L1d, ≤ 48 KiB, or rows are at most 16 words, D ≤ 1024). When no
+//!   member qualifies, the hot representation *is* the cold `Arc` (zero
+//!   duplication), and the similarity kernel and the decode take their
+//!   per-row walk over the row-major words. Tier state never changes a
+//!   result either way.
 //!
 //! [`CodebookHandle::resolve`] touches the entry (a logical access
 //! counter, never wall time), promotes cold→hot on a miss, and returns
@@ -59,18 +58,45 @@ use hdc::Codebook;
 /// small enough to bound mirror duplication under thousands of tenants.
 pub const DEFAULT_HOT_BUDGET_BYTES: usize = 64 * 1024 * 1024;
 
-/// Codebook footprint (row-major bytes, which the lane-major mirror
-/// duplicates exactly) above which a member gets a hot-tier lane mirror.
-/// Measured for a batched similarity kernel on a `target-cpu=native`
-/// AVX-512 host: cache-resident codebooks (≤ 64 KiB) ran at parity with
-/// the per-query walk, the first streaming shape (128 KiB) 1.8× faster;
-/// 96 KiB sits between the two.
-const STREAM_BYTES: usize = 96 * 1024;
+/// Row-major footprint (which the lane-major mirror duplicates exactly)
+/// up to which every measured shape's per-query similarity MVM ran faster
+/// on the lane mirror: the host's L1d.
+const MIRROR_MAX_BYTES: usize = 48 * 1024;
 
-/// True when `book` is past [`STREAM_BYTES`] and so earns a hot-tier
-/// lane mirror. Depends only on the shape, never on mirror state.
-fn streams(book: &Codebook) -> bool {
-    book.packed().row_bytes() > STREAM_BYTES
+/// Row width in 64-bit words (D ≤ 1024) up to which the lane mirror won
+/// at every measured footprint, L1-resident or not.
+const MIRROR_MAX_ROW_WORDS: usize = 16;
+
+/// True when the per-query similarity kernel wins on `book`'s lane mirror,
+/// so the hot tier materializes one. Depends only on the shape, never on
+/// mirror state.
+///
+/// Measured with `PackedCodebook::similarities_into`, row walk vs lane
+/// mirror, best of 5 × 40 ms over 16 queries, on a 2-vCPU Xeon
+/// (AVX-512 `vpopcnt` arm, `target-cpu=native`, 48 KiB L1d, 2 MiB L2 per
+/// core); speedup = row-walk time / mirror time:
+///
+/// | shape (M×D) | row bytes | speedup | mirror |
+/// |---|---|---|---|
+/// | 8×256 | 256 B | 2.44× | yes |
+/// | 64×256 | 2 KiB | 3.70× | yes |
+/// | 256×1024 | 32 KiB | 3.09× | yes |
+/// | 64×4096 | 32 KiB | 1.24× | yes |
+/// | 96×4096 | 48 KiB | 1.12–1.27× | yes |
+/// | 1024×1024 | 128 KiB | 2.59× | yes |
+/// | 4096×512 | 256 KiB | 3.50× | yes |
+/// | 128×4096 | 64 KiB | 0.85–0.89× | no |
+/// | 64×8192 | 64 KiB | 0.63–0.84× | no |
+/// | 256×2560 | 80 KiB | 0.91–0.97× | no |
+/// | 2048×2048 | 512 KiB | 0.95–0.98× | no |
+/// | 1024×8192 | 1 MiB | 0.60× | no |
+///
+/// Rows of 32 words past L1d (256–8192 × 2048) swung between 0.89× and
+/// 1.94× from run to run, so they stay on the row walk: no mirror bytes
+/// for no dependable gain.
+fn gets_mirror(book: &Codebook) -> bool {
+    let packed = book.packed();
+    packed.row_bytes() <= MIRROR_MAX_BYTES || packed.words_per_row() <= MIRROR_MAX_ROW_WORDS
 }
 
 /// Point-in-time counters of one [`CodebookRegistry`].
@@ -85,7 +111,7 @@ pub struct RegistryStats {
     /// Resolutions that found the entry already hot.
     pub hot_hits: u64,
     /// Cold→hot promotions (including zero-cost ones where no member
-    /// streams and hot aliases cold).
+    /// gets a mirror and hot aliases cold).
     pub promotions: u64,
     /// Promotions that actually materialized lane mirrors.
     pub materializations: u64,
@@ -123,7 +149,7 @@ struct SetEntry {
     /// dropped; identity-stable for the registry's lifetime.
     cold: Arc<[Codebook]>,
     /// The hot representation when promoted. Aliases `cold` when no
-    /// member streams; otherwise a mirror-materialized copy (possibly
+    /// member gets a mirror; otherwise a mirror-materialized copy (possibly
     /// *partial* after member-granular demotion — see
     /// [`CodebookRegistry::enforce_budget`]).
     hot: Option<Arc<[Codebook]>>,
@@ -131,28 +157,28 @@ struct SetEntry {
     /// of `hot_member_bytes`).
     hot_extra_bytes: usize,
     /// Per-member lane-mirror bytes currently materialized in `hot`
-    /// (0 for members that do not stream or whose mirror was demoted).
+    /// (0 for members without a mirror or whose mirror was demoted).
     hot_member_bytes: Vec<usize>,
-    /// Per-member: true when that member is past [`STREAM_BYTES`]
+    /// Per-member: true when that member [gets a mirror](gets_mirror)
     /// (shape-derived, fixed at intern).
-    member_streams: Vec<bool>,
-    /// True when at least one member streams (so promotion materializes
-    /// mirrors and demotion reclaims bytes).
-    any_streams: bool,
+    member_mirrored: Vec<bool>,
+    /// True when at least one member gets a mirror (so promotion
+    /// materializes mirrors and demotion reclaims bytes).
+    any_mirrored: bool,
     /// Logical clock of the last touch (the LRU key).
     last_touch: u64,
 }
 
 impl SetEntry {
     /// True when the hot representation carries every mirror a full
-    /// promotion would build — i.e. every streaming member is currently
+    /// promotion would build — i.e. every mirrored member is currently
     /// materialized. Partially-demoted entries fail this and re-promote
     /// on the next touch.
     fn hot_is_complete(&self) -> bool {
-        self.member_streams
+        self.member_mirrored
             .iter()
             .zip(&self.hot_member_bytes)
-            .all(|(&streams, &bytes)| !streams || bytes > 0)
+            .all(|(&mirrored, &bytes)| !mirrored || bytes > 0)
     }
 }
 
@@ -190,9 +216,9 @@ impl CodebookRegistry {
     }
 
     /// A registry whose hot tier demotes past `budget_bytes` of
-    /// materialized lane mirrors. A budget of 0 keeps every streaming
-    /// set cold (mirrors are built per promotion and immediately
-    /// reclaimable; non-streaming sets alias cold and cost nothing).
+    /// materialized lane mirrors. A budget of 0 keeps every set cold
+    /// (mirrors are built per promotion and immediately reclaimable; sets
+    /// without mirrored members alias cold and cost nothing).
     pub fn with_hot_budget(budget_bytes: usize) -> Self {
         Self {
             hot_budget_bytes: budget_bytes,
@@ -244,14 +270,14 @@ impl CodebookRegistry {
             }
         }
         // New content: store the cold (row-major-only) representation.
-        let mut member_streams = Vec::with_capacity(books.len());
+        let mut member_mirrored = Vec::with_capacity(books.len());
         let mut cold_bytes = 0usize;
         for b in &mut books {
             b.drop_lane_mirror();
-            member_streams.push(streams(b));
+            member_mirrored.push(gets_mirror(b));
             cold_bytes += b.packed().row_bytes();
         }
-        let any_streams = member_streams.iter().any(|&s| s);
+        let any_mirrored = member_mirrored.iter().any(|&s| s);
         let slot = inner.sets.len();
         let clock = inner.clock;
         inner.sets.push(SetEntry {
@@ -259,9 +285,9 @@ impl CodebookRegistry {
             cold: books.into(),
             hot: None,
             hot_extra_bytes: 0,
-            hot_member_bytes: vec![0; member_streams.len()],
-            member_streams,
-            any_streams,
+            hot_member_bytes: vec![0; member_mirrored.len()],
+            member_mirrored,
+            any_mirrored,
             last_touch: clock,
         });
         inner.by_hash.entry(hash).or_default().push(slot);
@@ -300,17 +326,17 @@ impl CodebookRegistry {
             // missing member mirrors below (counted as a promotion +
             // materialization, not a hot hit).
         }
-        // Promotion. Non-streaming sets alias the cold Arc (no duplicated
-        // bytes; their similarity kernels take the per-row walk).
-        // Streaming sets get a mirror-materialized copy; a
+        // Promotion. Sets without mirrored members alias the cold Arc (no
+        // duplicated bytes; their similarity kernels take the per-row
+        // walk). Others get a mirror-materialized copy; a
         // partially-demoted set starts from its current hot copy so
         // surviving mirrors are reused rather than rebuilt.
-        let hot = if entry.any_streams {
+        let hot = if entry.any_mirrored {
             let base = entry.hot.as_ref().unwrap_or(&entry.cold);
             let mut copy: Vec<Codebook> = base.to_vec();
             let mut added = 0usize;
             for (i, b) in copy.iter_mut().enumerate() {
-                if entry.member_streams[i] && entry.hot_member_bytes[i] == 0 {
+                if entry.member_mirrored[i] && entry.hot_member_bytes[i] == 0 {
                     b.materialize_lane_mirror();
                     let bytes = b.packed().lane_mirror_bytes();
                     entry.hot_member_bytes[i] = bytes;
@@ -334,7 +360,7 @@ impl CodebookRegistry {
     /// budget. Granularity is one *member* mirror per step — the
     /// least-recently-touched hot set (other than `protected`, the entry
     /// just touched) gives up its largest remaining mirror (ties break
-    /// toward the higher member index), so a set with one streaming
+    /// toward the higher member index), so a set with one mirrored
     /// member under pressure no longer pins its siblings' mirrors. A set
     /// whose last mirror is demoted drops its hot `Arc` entirely and
     /// re-promotes on the next touch; a partially-demoted set stays hot
@@ -503,14 +529,20 @@ mod tests {
         assert_eq!(reg.stats().interned_sets, 2);
     }
 
+    /// Lane-mirror bytes of one 64×256 member, the unit the budget tests
+    /// size their hot tiers in.
+    const SMALL_MIRROR: usize = 64 * 256 / 8;
+
     #[test]
-    fn non_streaming_sets_alias_cold_with_zero_hot_bytes() {
+    fn unmirrored_sets_alias_cold_with_zero_hot_bytes() {
         let reg = Arc::new(CodebookRegistry::new());
-        let h = CodebookRegistry::intern(&reg, books(8, 256, 3, 13));
+        // 128×4096 rows: 64 KiB past L1d with 64-word rows, where the row
+        // walk beats the strip walk.
+        let h = CodebookRegistry::intern(&reg, books(128, 4096, 2, 13));
         let resolved = h.resolve();
         assert!(resolved.iter().all(|b| !b.has_lane_mirror()));
         let stats = reg.stats();
-        assert_eq!(stats.hot_bytes, 0, "cache-resident sets duplicate nothing");
+        assert_eq!(stats.hot_bytes, 0, "unmirrored sets duplicate nothing");
         assert!(stats.cold_bytes > 0);
         // Second resolve is a hot hit on the aliased Arc.
         let again = h.resolve();
@@ -519,45 +551,51 @@ mod tests {
     }
 
     #[test]
-    fn streaming_sets_materialize_mirrors_on_promotion() {
+    fn mirrored_sets_materialize_mirrors_on_promotion() {
         let reg = Arc::new(CodebookRegistry::new());
-        // 512×2048 rows: 128 KiB row-major, past STREAM_BYTES.
-        let h = CodebookRegistry::intern(&reg, books(512, 2048, 1, 14));
+        let h = CodebookRegistry::intern(&reg, books(8, 256, 3, 14));
         assert_eq!(reg.stats().hot_bytes, 0, "intern does not promote");
         let resolved = h.resolve();
-        assert!(resolved[0].has_lane_mirror());
+        assert!(resolved.iter().all(|b| b.has_lane_mirror()));
         let stats = reg.stats();
         assert_eq!(stats.materializations, 1);
         assert_eq!(stats.hot_bytes, stats.cold_bytes, "mirror == row bytes");
     }
 
     #[test]
-    fn streaming_threshold_is_mirror_state_independent() {
-        // 512×2048 is decisively past STREAM_BYTES; 8×256 decisively
-        // under. The predicate must not change with mirror presence.
-        for (m, d, expect) in [(512usize, 2048usize, true), (8, 256, false)] {
+    fn mirror_predicate_is_mirror_state_independent() {
+        // Shapes on both sides of the measured crossover (see
+        // `gets_mirror`). The predicate must not change with mirror
+        // presence.
+        for (m, d, expect) in [
+            (8usize, 256usize, true),
+            (96, 4096, true),
+            (1024, 1024, true),
+            (128, 4096, false),
+            (256, 2560, false),
+            (2048, 2048, false),
+        ] {
             let mut book = books(m, d, 1, 73).remove(0);
             assert!(book.has_lane_mirror());
-            assert_eq!(streams(&book), expect, "m={m} d={d}");
+            assert_eq!(gets_mirror(&book), expect, "m={m} d={d}");
             book.drop_lane_mirror();
-            assert_eq!(streams(&book), expect, "m={m} d={d}");
+            assert_eq!(gets_mirror(&book), expect, "m={m} d={d}");
         }
     }
 
     #[test]
     fn lru_demotion_reclaims_and_rebuilds_bit_identically() {
-        // Budget fits exactly one 512×2048 mirror (512 KiB); two
-        // streaming sets must evict each other in LRU order.
-        let one_mirror = 512 * 2048 / 8; // bytes of one lane mirror
-        let reg = Arc::new(CodebookRegistry::with_hot_budget(one_mirror));
-        let h1 = CodebookRegistry::intern(&reg, books(512, 2048, 1, 15));
-        let h2 = CodebookRegistry::intern(&reg, books(512, 2048, 1, 16));
+        // Budget fits exactly one 64×256 mirror; two mirrored sets must
+        // evict each other in LRU order.
+        let reg = Arc::new(CodebookRegistry::with_hot_budget(SMALL_MIRROR));
+        let h1 = CodebookRegistry::intern(&reg, books(64, 256, 1, 15));
+        let h2 = CodebookRegistry::intern(&reg, books(64, 256, 1, 16));
         let first = h1.resolve();
         assert_eq!(reg.stats().demotions, 0);
         let _second = h2.resolve();
         let stats = reg.stats();
         assert_eq!(stats.demotions, 1, "h1 demoted to admit h2");
-        assert!(stats.hot_bytes <= one_mirror as u64);
+        assert!(stats.hot_bytes <= SMALL_MIRROR as u64);
         // The demoted entry rebuilds on next touch, bit-identical.
         let rebuilt = h1.resolve();
         assert!(!Arc::ptr_eq(&first, &rebuilt), "rebuild is a fresh Arc");
@@ -567,17 +605,16 @@ mod tests {
 
     #[test]
     fn demotion_is_member_granular_not_set_granular() {
-        // One set with two streaming members (two 128 KiB mirrors) plus
-        // one single-member streaming set, under a budget that fits 2.5
-        // mirrors. Pressure must shave ONE mirror off the LRU set, not
-        // evict the whole set.
-        let one_mirror = 512 * 2048 / 8;
-        let reg = Arc::new(CodebookRegistry::with_hot_budget(one_mirror * 5 / 2));
-        let pair = CodebookRegistry::intern(&reg, books(512, 2048, 2, 18));
-        let single = CodebookRegistry::intern(&reg, books(512, 2048, 1, 19));
+        // One set with two mirrored members (two 64×256 mirrors) plus one
+        // single-member set, under a budget that fits 2.5 mirrors.
+        // Pressure must shave ONE mirror off the LRU set, not evict the
+        // whole set.
+        let reg = Arc::new(CodebookRegistry::with_hot_budget(SMALL_MIRROR * 5 / 2));
+        let pair = CodebookRegistry::intern(&reg, books(64, 256, 2, 18));
+        let single = CodebookRegistry::intern(&reg, books(64, 256, 1, 19));
         let pair_hot = pair.resolve();
         assert!(pair_hot.iter().all(|b| b.has_lane_mirror()));
-        assert_eq!(reg.stats().hot_bytes, 2 * one_mirror as u64);
+        assert_eq!(reg.stats().hot_bytes, 2 * SMALL_MIRROR as u64);
         let _single_hot = single.resolve();
         let stats = reg.stats();
         assert_eq!(
@@ -586,7 +623,7 @@ mod tests {
         );
         assert_eq!(
             stats.hot_bytes,
-            2 * one_mirror as u64,
+            2 * SMALL_MIRROR as u64,
             "pair keeps one mirror resident; set-granular eviction would leave only one total"
         );
         // In-flight borrowers of the pre-demotion Arc are untouched.
@@ -607,7 +644,7 @@ mod tests {
             stats.demotions, 2,
             "re-promotion pushed the single-member set's mirror out in turn"
         );
-        assert!(stats.hot_bytes <= (one_mirror * 5 / 2) as u64);
+        assert!(stats.hot_bytes <= (SMALL_MIRROR * 5 / 2) as u64);
     }
 
     #[test]

@@ -307,8 +307,9 @@ impl SessionBuilder {
     /// content-identical codebooks — e.g. many tenants at one seed —
     /// resolve to **one** shared allocation through the registry, and the
     /// registry's hot/cold hierarchy decides lazily whether the packed
-    /// lane-major mirrors are materialized (only for codebooks past its
-    /// streaming threshold). Results are bit-identical in every tier state;
+    /// lane-major mirrors are materialized (only for codebook shapes the
+    /// similarity kernel's strip walk wins at). Results are bit-identical
+    /// in every tier state;
     /// pass a private registry in tests/benches that measure footprint.
     pub fn registry(mut self, registry: Arc<CodebookRegistry>) -> Self {
         self.registry = Some(registry);

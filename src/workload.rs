@@ -1032,8 +1032,7 @@ mod tests {
             cycle: None,
             revisits: 0,
             degenerate_events: 0,
-            correct_at: Vec::new(),
-            cosines: Vec::new(),
+            trajectory: None,
             times: Default::default(),
         };
         let outcomes = vec![mk(truth0), mk(wrong1)];

@@ -18,12 +18,12 @@ fn session_on(registry: &Arc<CodebookRegistry>, seed: u64, threads: usize) -> Se
         .build()
 }
 
-/// A problem shape whose codebooks are past the registry's streaming
-/// threshold (512×2048 rows are 128 KiB, past 96 KiB), so promotion actually
-/// materializes lane mirrors and demotion actually reclaims bytes.
-fn streaming_session_on(registry: &Arc<CodebookRegistry>, seed: u64) -> Session {
+/// A problem shape whose codebooks the row walk wins at (128×4096 rows:
+/// 64 KiB, past L1d, with 64-word rows), so the registry gives them no
+/// lane mirror.
+fn wide_session_on(registry: &Arc<CodebookRegistry>, seed: u64) -> Session {
     Session::builder()
-        .spec(ProblemSpec::new(2, 512, 2048))
+        .spec(ProblemSpec::new(2, 128, 4096))
         .backend(BackendKind::Baseline)
         .seed(seed)
         .max_iters(30)
@@ -110,12 +110,12 @@ fn results_are_bit_identical_across_registry_instances_and_threads() {
 
 #[test]
 fn lru_demotion_and_rematerialization_round_trip_bit_identically() {
-    // Budget fits one set's lane mirrors (2 × 128 KiB per set), so two
-    // streaming sessions evict each other's hot entries on every pass.
-    let one_set_mirrors = 2 * 512 * 2048 / 8;
+    // Budget fits one set's lane mirrors (3 × 256 B per 3×8×256 set), so
+    // two sessions evict each other's hot entries on every pass.
+    let one_set_mirrors = 3 * 8 * 256 / 8;
     let pressured = Arc::new(CodebookRegistry::with_hot_budget(one_set_mirrors));
-    let mut p1 = streaming_session_on(&pressured, 1);
-    let mut p2 = streaming_session_on(&pressured, 2);
+    let mut p1 = session_on(&pressured, 1, 1);
+    let mut p2 = session_on(&pressured, 2, 1);
     let mut thrash = Vec::new();
     for _ in 0..3 {
         thrash.push(p1.run(1));
@@ -127,17 +127,17 @@ fn lru_demotion_and_rematerialization_round_trip_bit_identically() {
         "alternating passes must thrash the hot tier (saw {} demotions)",
         stats.demotions
     );
-    // Demotion is member-granular: evicting one of these 2-member sets
-    // counts 2 demotions, while the rebuild that follows is a single
-    // materialization pass covering both mirrors.
-    assert!(stats.demotions <= 2 * stats.materializations);
+    // Demotion is member-granular: evicting one of these 3-member sets
+    // counts 3 demotions, while the rebuild that follows is a single
+    // materialization pass covering every mirror.
+    assert!(stats.demotions <= 3 * stats.materializations);
     assert!(stats.materializations > 0);
     assert!(stats.hot_bytes as usize <= one_set_mirrors);
 
     // The same passes under no pressure (everything stays hot).
     let roomy = Arc::new(CodebookRegistry::with_hot_budget(DEFAULT_HOT_BUDGET_BYTES));
-    let mut r1 = streaming_session_on(&roomy, 1);
-    let mut r2 = streaming_session_on(&roomy, 2);
+    let mut r1 = session_on(&roomy, 1, 1);
+    let mut r2 = session_on(&roomy, 2, 1);
     let mut calm = Vec::new();
     for _ in 0..3 {
         calm.push(r1.run(1));
@@ -157,17 +157,19 @@ fn lru_demotion_and_rematerialization_round_trip_bit_identically() {
 }
 
 #[test]
-fn streaming_sets_promote_hot_and_small_sets_alias_cold() {
+fn small_sets_promote_hot_and_wide_sets_alias_cold() {
     let reg = Arc::new(CodebookRegistry::new());
     let small = session_on(&reg, 5, 1);
-    let streaming = streaming_session_on(&reg, 5);
+    let wide = wide_session_on(&reg, 5);
     let small_books = small.codebook_handle().resolve();
-    let streaming_books = streaming.codebook_handle().resolve();
-    // 8×256 rows (256 B) never stream: no lane mirror, no hot bytes.
-    assert!(small_books.iter().all(|b| !b.has_lane_mirror()));
-    // 512×2048 rows stream: promotion materialized the mirrors.
-    assert!(streaming_books.iter().all(|b| b.has_lane_mirror()));
-    assert!(reg.stats().hot_bytes > 0);
+    // 8×256 rows (256 B) are where the strip walk wins most: promotion
+    // materialized the mirrors.
+    assert!(small_books.iter().all(|b| b.has_lane_mirror()));
+    assert_eq!(reg.stats().hot_bytes, 3 * 8 * 256 / 8);
+    // 128×4096 rows take the row walk: no lane mirror, no hot bytes added.
+    let wide_books = wide.codebook_handle().resolve();
+    assert!(wide_books.iter().all(|b| !b.has_lane_mirror()));
+    assert_eq!(reg.stats().hot_bytes, 3 * 8 * 256 / 8);
 }
 
 #[test]

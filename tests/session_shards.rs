@@ -98,7 +98,7 @@ fn carved_shards_have_disjoint_engine_stochasticity() {
     for item in &items {
         let oa = shard_a.solve_query(parent.codebooks(), &item.query, item.truth.as_deref());
         let ob = shard_b.solve_query(parent.codebooks(), &item.query, item.truth.as_deref());
-        if oa.iterations != ob.iterations || oa.cosines != ob.cosines {
+        if oa.iterations != ob.iterations || oa.cosines() != ob.cosines() {
             diverged += 1;
         }
     }
